@@ -1,7 +1,16 @@
-//! Criterion microbenchmarks of the hot paths underneath every experiment:
-//! the event engine, the processor-sharing CPU, the Space-Saving sketch,
-//! the latency histogram, the exchange-subset selection, and the
-//! closed-form thread allocator.
+//! Criterion microbenchmarks of the hot paths underneath every experiment.
+//! Each group measures one simulator layer, named after the per-layer
+//! split of the repository benchmark:
+//!
+//! | group | layer |
+//! |---|---|
+//! | `engine_*` | event engine (heap) |
+//! | `routing_*` | routing/directory and the communication sketch |
+//! | `pscpu_*` | CPU/SEDA model (processor-sharing CPU) |
+//! | `space_saving_*` | communication sketch |
+//! | `histogram_*` | metrics (latency histogram) |
+//! | `select_exchange_*` | partition policy (exchange selection) |
+//! | `allocate_threads_*` | SEDA thread allocator (Theorem 2 solve) |
 
 use actop_metrics::LatencyHistogram;
 use actop_partition::score::ScoredVertex;
@@ -114,6 +123,7 @@ mod legacy {
 const RETARGET_SERVERS: u64 = 64;
 const RETARGET_OPS: u64 = 50_000;
 
+/// Layer: event engine (heap).
 fn bench_engine(c: &mut Criterion) {
     c.bench_function("engine_schedule_run_10k", |b| {
         b.iter(|| {
@@ -274,6 +284,8 @@ mod legacy_sketch {
 /// (`HashMap` partition vs dense region table), join-table churn
 /// (counter-keyed `HashMap` vs generation-tagged slab), and sketch offers
 /// (`BTreeSet` min-tracking vs the lazy-min fast path).
+///
+/// Layer: routing/directory and the communication sketch.
 fn bench_routing(c: &mut Criterion) {
     // Two id bands, the Halo shape: players dense at 0.., games at 2^40.
     const PLAYERS: u64 = 20_000;
@@ -423,14 +435,16 @@ fn bench_routing(c: &mut Criterion) {
     });
 }
 
+/// Layer: CPU/SEDA model. A burst of 1K tasks drained to idle.
 fn bench_cpu(c: &mut Criterion) {
     c.bench_function("pscpu_1k_tasks", |b| {
+        let mut done = Vec::new();
         b.iter(|| {
             let mut cpu = PsCpu::new(8, 0.018);
             cpu.set_configured_threads(Nanos::ZERO, 32);
             let mut t = Nanos::ZERO;
-            for _ in 0..1_000u64 {
-                cpu.add(t, 50_000.0);
+            for i in 0..1_000u64 {
+                cpu.add(t, 50_000.0, i);
                 t += Nanos(10_000);
                 cpu.advance(t);
             }
@@ -438,11 +452,62 @@ fn bench_cpu(c: &mut Criterion) {
                 cpu.advance(next);
                 t = next;
             }
-            black_box(cpu.take_completed(t).len())
+            done.clear();
+            cpu.drain_completed(t, &mut done);
+            black_box(done.len())
         })
     });
 }
 
+/// Completion cycles per `pscpu_steady_*` iteration.
+const STEADY_CYCLES: u64 = 1_000;
+
+/// Layer: CPU/SEDA model at a fixed runnable count, the runtime's
+/// steady-state call pattern: an arrival between completions (`add`), the
+/// completion event (`drain_completed`), a replacement task, and the
+/// re-arm (`next_completion`) after each.
+fn bench_cpu_steady(c: &mut Criterion) {
+    for runnable in [4usize, 16, 64] {
+        let mut rng = DetRng::new(17);
+        let demands: Vec<f64> = (0..4_096).map(|_| 5_000.0 + rng.exp(20_000.0)).collect();
+        c.bench_function(&format!("pscpu_steady_{runnable}"), |b| {
+            let mut done = Vec::with_capacity(runnable);
+            b.iter(|| {
+                let mut cpu = PsCpu::new(8, 0.018);
+                cpu.set_configured_threads(Nanos::ZERO, 32);
+                let mut next_demand = 0usize;
+                let mut demand = || {
+                    next_demand = (next_demand + 1) % demands.len();
+                    demands[next_demand]
+                };
+                for i in 0..runnable as u64 {
+                    cpu.add(Nanos::ZERO, demand(), i);
+                }
+                let mut now = Nanos::ZERO;
+                let mut payload = runnable as u64;
+                let mut drained = 0usize;
+                for _ in 0..STEADY_CYCLES {
+                    let at = cpu.next_completion().expect("runnable tasks");
+                    // An arrival halfway to the next completion.
+                    now = Nanos(now.as_nanos() + (at.as_nanos() - now.as_nanos()) / 2);
+                    cpu.add(now, demand(), payload);
+                    payload += 1;
+                    now = cpu.next_completion().expect("runnable tasks");
+                    cpu.drain_completed(now, &mut done);
+                    drained += done.len();
+                    done.clear();
+                    while cpu.runnable() < runnable {
+                        cpu.add(now, demand(), payload);
+                        payload += 1;
+                    }
+                }
+                black_box((drained, cpu.busy_core_ns()))
+            })
+        });
+    }
+}
+
+/// Layer: communication sketch (Space-Saving offers).
 fn bench_sketch(c: &mut Criterion) {
     c.bench_function("space_saving_offer_10k", |b| {
         let mut rng = DetRng::new(5);
@@ -457,6 +522,7 @@ fn bench_sketch(c: &mut Criterion) {
     });
 }
 
+/// Layer: metrics (latency histogram record and quantiles).
 fn bench_hist(c: &mut Criterion) {
     c.bench_function("histogram_record_and_quantile_10k", |b| {
         let mut rng = DetRng::new(6);
@@ -471,6 +537,7 @@ fn bench_hist(c: &mut Criterion) {
     });
 }
 
+/// Layer: partition policy (ActOp exchange selection).
 fn bench_exchange(c: &mut Criterion) {
     c.bench_function("select_exchange_128_candidates", |b| {
         let mut rng = DetRng::new(7);
@@ -502,6 +569,7 @@ fn bench_exchange(c: &mut Criterion) {
     });
 }
 
+/// Layer: SEDA thread allocator (Theorem 2 closed-form solve).
 fn bench_allocator(c: &mut Criterion) {
     c.bench_function("allocate_threads_4_stages", |b| {
         let model = SedaModel::new(
@@ -524,6 +592,7 @@ criterion_group!(
     bench_engine,
     bench_routing,
     bench_cpu,
+    bench_cpu_steady,
     bench_sketch,
     bench_hist,
     bench_exchange,

@@ -11,7 +11,7 @@
 
 use actop_metrics::TimelineSample;
 use actop_partition::{decide_split, CostSignals, DenseDirectory, ExchangeOutcome, SplitDecision};
-use actop_sim::{mix64, CostAttr, DetRng, Engine, Nanos, Subsystem};
+use actop_sim::{mix64, start_next, CostAttr, DetRng, Engine, Nanos, StagePool, Subsystem};
 use actop_sketch::fxmap::{fx_map_with_capacity, FxHashMap};
 use actop_snapshot::{OpenRound, SnapshotConfig, SnapshotStore, StateCell};
 use actop_trace::{HopKind, SpanEvent, Tracer, NO_SERVER, NO_STAGE, PROC_LABEL, QUEUE_LABEL};
@@ -167,6 +167,8 @@ pub struct Cluster {
     joins: SlabTable<PendingJoin>,
     /// In-flight client requests, keyed by [`RequestId`] slab handle.
     requests: SlabTable<RequestMeta>,
+    /// Reused buffer for the tasks one CPU-completion event collects.
+    cpu_done_buf: Vec<RunningTask>,
 }
 
 impl Cluster {
@@ -234,6 +236,7 @@ impl Cluster {
             splits_in_flight: fx_map_with_capacity(0),
             joins: SlabTable::new(),
             requests: SlabTable::new(),
+            cpu_done_buf: Vec::new(),
             config,
         }
     }
@@ -506,53 +509,54 @@ impl Cluster {
     }
 
     /// Starts queued items on every stage with a free thread, then
-    /// re-arms the CPU completion event.
+    /// re-arms the CPU completion event. One pass suffices: starting an
+    /// item never enqueues one (`prepare` only decides what happens when
+    /// the compute phase ends).
     fn pump(&mut self, engine: &mut Engine<Cluster>, server: usize) {
         if self.failed[server] {
             return;
         }
         let now = engine.now();
-        loop {
-            let mut started = false;
-            #[allow(clippy::needless_range_loop)]
-            for stage in 0..4 {
-                while let Some((item, wait)) = self.servers[server].stages[stage].try_start(now) {
-                    if self.config.record_breakdown {
-                        let rid = item_request(&item);
-                        self.account(rid, QUEUE_LABEL[stage], wait.as_nanos() as f64);
-                    }
-                    if self.trace.enabled() {
-                        self.record_span(SpanEvent {
-                            request: item_request(&item).0,
-                            kind: HopKind::QueueWait,
-                            server: server as u32,
-                            stage: stage as u8,
-                            aux: 0,
-                            t_start: now.saturating_sub(wait),
-                            t_end: now,
-                        });
-                    }
-                    let (cpu_ns, wait_ns, post, request) = self.prepare(now, server, item);
-                    let cpu_ns = cpu_ns.max(1.0);
-                    let tid = self.servers[server].cpu.add(now, cpu_ns);
-                    self.servers[server].running.insert(
-                        tid,
-                        RunningTask {
-                            stage,
-                            post,
-                            started: now,
-                            cpu_ns,
-                            wait_ns,
-                            request,
-                        },
-                    );
-                    started = true;
-                }
+        let mut from = 0;
+        let mut next = self.attr.time(Subsystem::Cpu, || {
+            start_next(&mut self.servers[server].stages, &mut from, now)
+        });
+        while let Some((stage, item, wait)) = next {
+            if self.config.record_breakdown {
+                let rid = item_request(&item);
+                self.account(rid, QUEUE_LABEL[stage], wait.as_nanos() as f64);
             }
-            if !started {
-                break;
+            if self.trace.enabled() {
+                self.record_span(SpanEvent {
+                    request: item_request(&item).0,
+                    kind: HopKind::QueueWait,
+                    server: server as u32,
+                    stage: stage as u8,
+                    aux: 0,
+                    t_start: now.saturating_sub(wait),
+                    t_end: now,
+                });
             }
+            let (cpu_ns, wait_ns, post, request) = self.prepare(now, server, item);
+            let cpu_ns = cpu_ns.max(1.0);
+            let task = RunningTask {
+                stage,
+                post,
+                started: now,
+                cpu_ns,
+                wait_ns,
+                request,
+            };
+            next = self.attr.time(Subsystem::Cpu, || {
+                let s = &mut self.servers[server];
+                s.cpu.add(now, cpu_ns, task);
+                start_next(&mut s.stages, &mut from, now)
+            });
         }
+        debug_assert!(
+            !self.servers[server].stages.iter().any(StagePool::can_start),
+            "prepare enqueued work behind the pump"
+        );
         self.sync_cpu(engine, server);
     }
 
@@ -697,7 +701,9 @@ impl Cluster {
     /// [`Engine::reschedule`] (and scheduled as an allocation-free tick),
     /// never cancelled-and-reboxed.
     fn sync_cpu(&mut self, engine: &mut Engine<Cluster>, server: usize) {
-        let next = self.servers[server].cpu.next_completion();
+        let next = self.attr.time(Subsystem::Cpu, || {
+            self.servers[server].cpu.next_completion()
+        });
         match (self.servers[server].cpu_event, next) {
             (Some((at, _)), Some(target)) if at == target => {}
             (Some((_, id)), Some(target)) => {
@@ -730,12 +736,11 @@ impl Cluster {
         }
         self.servers[server].cpu_event = None;
         let now = engine.now();
-        let done = self.servers[server].cpu.take_completed(now);
-        for tid in done {
-            let task = self.servers[server]
-                .running
-                .remove(&tid)
-                .expect("completed CPU task must be tracked");
+        let mut done = std::mem::take(&mut self.cpu_done_buf);
+        self.attr.time(Subsystem::Cpu, || {
+            self.servers[server].cpu.drain_completed(now, &mut done)
+        });
+        for task in done.drain(..) {
             if task.wait_ns > 0.0 {
                 let wait = Nanos::from_nanos_f64(task.wait_ns);
                 engine.schedule_after(wait, move |c: &mut Cluster, e| {
@@ -745,6 +750,7 @@ impl Cluster {
                 self.task_finished(engine, server, task);
             }
         }
+        self.cpu_done_buf = done;
         self.pump(engine, server);
     }
 
@@ -2761,7 +2767,7 @@ impl Cluster {
             && self
                 .servers
                 .iter()
-                .all(|s| s.running.is_empty() && s.stages.iter().all(|st| st.is_idle()))
+                .all(|s| s.cpu.is_idle() && s.stages.iter().all(|st| st.is_idle()))
     }
 }
 

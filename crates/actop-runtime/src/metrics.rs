@@ -105,9 +105,13 @@ pub struct ClusterMetrics {
     pub replica_drops: u64,
     /// Read-mostly requests executed at a replica instead of the primary.
     pub replica_reads: u64,
-    /// Write requests that arrived at a replica and were forwarded to the
-    /// primary. Structurally zero under rendezvous routing — a nonzero
-    /// value flags a routing bug.
+    /// Write requests that reached a worker stage on a server hosting a
+    /// replica of their target and were forwarded from there to the
+    /// primary. Routing never sends a write to a replica, but a client
+    /// request enters through a uniformly random gateway and executes
+    /// there when it can, so every client write whose gateway hosts a
+    /// replica counts here once. Expected nonzero whenever writes target
+    /// replicated actors.
     pub replica_writes: u64,
     /// Snapshot rounds the coordinator opened.
     pub snap_rounds_started: u64,

@@ -1,6 +1,6 @@
 //! Per-server state: the SEDA pipeline, the shared CPU, and local caches.
 
-use actop_sim::{CostModel, CpuTaskId, EventId, Nanos, PsCpu, StagePool};
+use actop_sim::{CostModel, EventId, Nanos, PsCpu, StagePool};
 use actop_sketch::{FxHashMap, SpaceSaving};
 
 use crate::ids::{ActorId, StageKind};
@@ -22,19 +22,17 @@ pub struct StageWindow {
 pub struct Server {
     /// Server index.
     pub id: usize,
-    /// The shared-core processor all stage threads run on.
-    pub cpu: PsCpu,
+    /// The shared-core processor all stage threads run on; each task
+    /// carries its stage bookkeeping until its compute phase completes.
+    pub(crate) cpu: PsCpu<RunningTask>,
     /// The four SEDA stages, indexed by [`StageKind::index`].
     pub(crate) stages: [StagePool<StageItem>; 4],
     /// The pending CPU-completion event, if any.
     pub(crate) cpu_event: Option<(Nanos, EventId)>,
-    /// Tasks currently on the CPU (or in their blocking wait). Fx-hashed:
-    /// iteration order is never observed, only point lookups.
-    pub(crate) running: FxHashMap<CpuTaskId, RunningTask>,
     /// The server's heavy-edge sample: `(local actor, peer actor) -> msgs`.
     pub edge_sketch: SpaceSaving<(ActorId, ActorId)>,
-    /// Location hints left behind by migrations (§4.3). Fx-hashed for the
-    /// same reason as `running`.
+    /// Location hints left behind by migrations (§4.3). Fx-hashed:
+    /// iteration order is never observed, only point lookups.
     pub(crate) location_cache: FxHashMap<ActorId, usize>,
     /// Per-stage estimator windows.
     pub(crate) windows: [StageWindow; 4],
@@ -72,7 +70,6 @@ impl Server {
                 StagePool::new(StageKind::ClientSender.name(), threads_per_stage),
             ],
             cpu_event: None,
-            running: FxHashMap::default(),
             edge_sketch: SpaceSaving::new(sketch_capacity),
             location_cache: FxHashMap::default(),
             windows: [StageWindow::default(); 4],

@@ -62,8 +62,8 @@ use std::sync::Arc;
 
 use actop_partition::{decide_split, DenseDirectory, ExchangeOutcome, SplitDecision};
 use actop_sim::{
-    mix64, ConservativeRunner, CpuTaskId, DetRng, Engine, EventId, GlobalCtx, Nanos, OutMsg,
-    PhaseCell, PsCpu, ShardWorld, StagePool,
+    mix64, start_next, ConservativeRunner, DetRng, Engine, EventId, GlobalCtx, Nanos, OutMsg,
+    PhaseCell, PsCpu, ShardWorld, StagePool, Subsystem,
 };
 use actop_sketch::{FxHashMap, SpaceSaving};
 use actop_snapshot::{SnapshotConfig, SnapshotStore, StateCell};
@@ -353,10 +353,9 @@ const LOCATION_CACHE_CAP: usize = 65_536;
 /// matter which shard executes it).
 pub(crate) struct ServerSlot {
     pub id: usize,
-    pub cpu: PsCpu,
+    pub cpu: PsCpu<SRunning>,
     pub stages: [StagePool<SItem>; 4],
     pub cpu_event: Option<(Nanos, EventId)>,
-    pub running: FxHashMap<CpuTaskId, SRunning>,
     pub edge_sketch: SpaceSaving<(ActorId, ActorId)>,
     pub location_cache: FxHashMap<ActorId, usize>,
     /// This server's window-local placements: entries it minted since the
@@ -390,7 +389,6 @@ impl ServerSlot {
             cpu,
             stages: fresh_stages(config.initial_threads_per_stage),
             cpu_event: None,
-            running: FxHashMap::default(),
             edge_sketch: SpaceSaving::new(config.sketch_capacity),
             location_cache: FxHashMap::default(),
             dir_overlay: FxHashMap::default(),
@@ -416,7 +414,6 @@ impl ServerSlot {
         self.cpu = cpu;
         self.stages = fresh_stages(config.initial_threads_per_stage);
         self.cpu_event = None;
-        self.running.clear();
         self.edge_sketch = SpaceSaving::new(config.sketch_capacity);
         self.location_cache.clear();
         self.dir_overlay.clear();
@@ -508,6 +505,8 @@ pub struct ShardedCluster {
     pub(crate) snap_wire_sent: u64,
     /// Cross-server wires that arrived at this shard's servers.
     pub(crate) snap_wire_recv: u64,
+    /// Reused buffer for the tasks one CPU-completion event collects.
+    cpu_done_buf: Vec<SRunning>,
 }
 
 /// Builds the shard worlds for a configuration. `shards` is clamped to
@@ -613,6 +612,7 @@ pub fn build_sharded(
                 snap_defer_attempts: FxHashMap::default(),
                 snap_wire_sent: 0,
                 snap_wire_recv: 0,
+                cpu_done_buf: Vec::new(),
             }
         })
         .collect()
@@ -764,7 +764,7 @@ impl ShardedCluster {
     pub fn is_drained(&self) -> bool {
         self.outbox.is_empty()
             && self.slots.iter().all(|s| {
-                s.running.is_empty() && s.joins.is_empty() && s.stages.iter().all(|st| st.is_idle())
+                s.cpu.is_idle() && s.joins.is_empty() && s.stages.iter().all(|st| st.is_idle())
             })
     }
 
@@ -954,50 +954,50 @@ impl ShardedCluster {
     }
 
     /// Starts queued items on every stage with a free thread, then re-arms
-    /// the CPU completion event.
+    /// the CPU completion event. One pass suffices: starting an item never
+    /// enqueues one.
     fn pump(&mut self, engine: &mut Engine<ShardedCluster>, server: usize) {
         if self.server_failed(server) {
             return;
         }
         let now = engine.now();
         let idx = self.slot_idx(server);
-        loop {
-            let mut started = false;
-            #[allow(clippy::needless_range_loop)]
-            for stage in 0..4 {
-                while let Some((item, wait)) = self.slots[idx].stages[stage].try_start(now) {
-                    if self.trace.enabled() {
-                        self.trace.record(SpanEvent {
-                            request: item_request(&item),
-                            kind: HopKind::QueueWait,
-                            server: server as u32,
-                            stage: stage as u8,
-                            aux: 0,
-                            t_start: now.saturating_sub(wait),
-                            t_end: now,
-                        });
-                    }
-                    let (cpu_ns, wait_ns, post, request) = self.prepare(now, server, item);
-                    let cpu_ns = cpu_ns.max(1.0);
-                    let tid = self.slots[idx].cpu.add(now, cpu_ns);
-                    self.slots[idx].running.insert(
-                        tid,
-                        SRunning {
-                            stage,
-                            post,
-                            started: now,
-                            cpu_ns,
-                            wait_ns,
-                            request,
-                        },
-                    );
-                    started = true;
-                }
+        let mut from = 0;
+        let mut next = engine.cost_attr_mut().time(Subsystem::Cpu, || {
+            start_next(&mut self.slots[idx].stages, &mut from, now)
+        });
+        while let Some((stage, item, wait)) = next {
+            if self.trace.enabled() {
+                self.trace.record(SpanEvent {
+                    request: item_request(&item),
+                    kind: HopKind::QueueWait,
+                    server: server as u32,
+                    stage: stage as u8,
+                    aux: 0,
+                    t_start: now.saturating_sub(wait),
+                    t_end: now,
+                });
             }
-            if !started {
-                break;
-            }
+            let (cpu_ns, wait_ns, post, request) = self.prepare(now, server, item);
+            let cpu_ns = cpu_ns.max(1.0);
+            let task = SRunning {
+                stage,
+                post,
+                started: now,
+                cpu_ns,
+                wait_ns,
+                request,
+            };
+            next = engine.cost_attr_mut().time(Subsystem::Cpu, || {
+                let slot = &mut self.slots[idx];
+                slot.cpu.add(now, cpu_ns, task);
+                start_next(&mut slot.stages, &mut from, now)
+            });
         }
+        debug_assert!(
+            !self.slots[idx].stages.iter().any(StagePool::can_start),
+            "prepare enqueued work behind the pump"
+        );
         self.sync_cpu(engine, server);
     }
 
@@ -1150,7 +1150,9 @@ impl ShardedCluster {
     /// place discipline as the sequential cluster).
     fn sync_cpu(&mut self, engine: &mut Engine<ShardedCluster>, server: usize) {
         let idx = self.slot_idx(server);
-        let next = self.slots[idx].cpu.next_completion();
+        let next = engine
+            .cost_attr_mut()
+            .time(Subsystem::Cpu, || self.slots[idx].cpu.next_completion());
         match (self.slots[idx].cpu_event, next) {
             (Some((at, _)), Some(target)) if at == target => {}
             (Some((_, id)), Some(target)) => {
@@ -1183,12 +1185,11 @@ impl ShardedCluster {
         let idx = self.slot_idx(server);
         self.slots[idx].cpu_event = None;
         let now = engine.now();
-        let done = self.slots[idx].cpu.take_completed(now);
-        for tid in done {
-            let task = self.slots[idx]
-                .running
-                .remove(&tid)
-                .expect("completed CPU task must be tracked");
+        let mut done = std::mem::take(&mut self.cpu_done_buf);
+        engine.cost_attr_mut().time(Subsystem::Cpu, || {
+            self.slots[idx].cpu.drain_completed(now, &mut done)
+        });
+        for task in done.drain(..) {
             if task.wait_ns > 0.0 {
                 let wait = Nanos::from_nanos_f64(task.wait_ns);
                 engine.schedule_after(wait, move |w: &mut ShardedCluster, e| {
@@ -1198,6 +1199,7 @@ impl ShardedCluster {
                 self.task_finished(engine, server, task);
             }
         }
+        self.cpu_done_buf = done;
         self.pump(engine, server);
     }
 
@@ -3237,6 +3239,74 @@ mod tests {
             ..SnapshotConfig::default()
         });
         let _ = build_sharded(config, Box::new(FanApp), 2);
+    }
+
+    /// Answers every request locally.
+    struct ReplyApp;
+
+    impl ShardApp for ReplyApp {
+        fn on_request(&self, _actor: ActorId, _tag: u32, _rng: &mut DetRng) -> Reaction {
+            Reaction::reply(20_000.0, 200)
+        }
+    }
+
+    /// Client writes to a replicated actor, with the replica set fixed:
+    /// returns `replica_writes` and the admissions per gateway.
+    fn run_replica_write_case(shards: usize, threads: usize) -> (u64, [u64; 3]) {
+        let mut config = test_config(3);
+        // Tag 0 reads; tag 1 writes. No controller is installed, so the
+        // replica set never changes.
+        config.replication = Some(ReplicationConfig::default());
+        config.trace = Some(actop_trace::TraceConfig::default());
+        let lookahead = sharded_lookahead(&config);
+        let worlds = build_sharded(config, Box::new(ReplyApp), shards);
+        let mut runner = ConservativeRunner::new(worlds, lookahead);
+        install_sharded_hooks(&mut runner);
+        let mut rng_gw = DetRng::stream(5, 0x90);
+        let mut rng_net = DetRng::stream(5, 0x91);
+        runner.schedule_global(Nanos::ZERO, move |ctx| {
+            let shared = ctx.cell(0).world.shared();
+            // SAFETY: serial phase (inside a global event).
+            let dir = unsafe { shared.directory.get_mut() };
+            dir.place(7, 0);
+            dir.add_replica(7, 1);
+            for i in 0..300u64 {
+                submit_client_request_sharded(
+                    ctx,
+                    Nanos::from_micros(200 * i),
+                    ActorId(7),
+                    1,
+                    400,
+                    i,
+                    &mut rng_gw,
+                    &mut rng_net,
+                );
+            }
+        });
+        runner.run_until(Nanos::from_millis(200), threads);
+        let mut writes = 0;
+        let mut admitted = [0u64; 3];
+        for cell in runner.cells() {
+            writes += cell.world.metrics().replica_writes;
+            assert_eq!(cell.world.metrics().replica_reads, 0);
+            for span in cell.world.trace().spans() {
+                if span.kind == HopKind::GatewayAdmit {
+                    admitted[span.server as usize] += 1;
+                }
+            }
+        }
+        (writes, admitted)
+    }
+
+    /// The sharded twin of the legacy backend's pin: a client write counts
+    /// in `replica_writes` exactly when its gateway hosts a replica.
+    #[test]
+    fn replica_writes_count_writes_entering_through_a_replica_gateway() {
+        let (writes, admitted) = run_replica_write_case(1, 1);
+        assert!(admitted.iter().all(|&n| n > 0), "gateways {admitted:?}");
+        assert_eq!(admitted.iter().sum::<u64>(), 300);
+        assert_eq!(writes, admitted[1]);
+        assert_eq!(run_replica_write_case(3, 2), (writes, admitted));
     }
 
     #[test]

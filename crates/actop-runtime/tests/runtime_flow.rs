@@ -2,8 +2,12 @@
 
 use actop_partition::ExchangeOutcome;
 use actop_runtime::app::FixedCostApp;
-use actop_runtime::{ActorId, AppLogic, Call, Cluster, PlacementPolicy, Reaction, RuntimeConfig};
+use actop_runtime::{
+    ActorId, AppLogic, Call, Cluster, PlacementPolicy, Reaction, ReplicationConfig, RuntimeConfig,
+    TraceConfig,
+};
 use actop_sim::{DetRng, Engine, Nanos};
+use actop_trace::HopKind;
 
 fn counter_app() -> Box<dyn AppLogic> {
     Box::new(FixedCostApp {
@@ -382,4 +386,42 @@ fn cpu_utilization_is_sane() {
     engine.run(&mut cluster);
     let util = cluster.mean_utilization(&snapshots, Nanos::ZERO, engine.now());
     assert!(util > 0.0 && util < 1.0, "utilization {util}");
+}
+
+/// `replica_writes` counts client writes that enter through a gateway
+/// hosting a replica of their target: the worker stage there sees a
+/// replica activation, counts the write, and forwards it to the primary.
+/// Writes entering through the primary, or through a server with no
+/// activation of the target, are not counted. (The sharded backend pins
+/// the same rule in its unit tests.)
+#[test]
+fn replica_writes_count_writes_entering_through_a_replica_gateway() {
+    let mut config = RuntimeConfig::paper_testbed(5);
+    config.servers = 3;
+    // Tag 0 reads; tag 1 writes. No controller is installed, so the
+    // replica set below never changes.
+    config.replication = Some(ReplicationConfig::default());
+    config.trace = Some(TraceConfig::default());
+    let mut cluster = Cluster::new(config, counter_app());
+    cluster.directory.place(7, 0);
+    cluster.directory.add_replica(7, 1);
+    let mut engine: Engine<Cluster> = Engine::new();
+    for i in 0..300u64 {
+        engine.schedule(Nanos::from_micros(200 * i), |c: &mut Cluster, e| {
+            c.submit_client_request(e, ActorId(7), 1, 400);
+        });
+    }
+    engine.run(&mut cluster);
+
+    let mut admitted = [0u64; 3];
+    for span in cluster.trace.spans() {
+        if span.kind == HopKind::GatewayAdmit {
+            admitted[span.server as usize] += 1;
+        }
+    }
+    assert!(admitted.iter().all(|&n| n > 0), "gateways {admitted:?}");
+    assert_eq!(cluster.metrics.completed, 300);
+    assert_eq!(cluster.metrics.replica_writes, admitted[1]);
+    assert_eq!(cluster.metrics.replica_reads, 0);
+    assert_eq!(cluster.directory.replicas_of(7), &[1]);
 }

@@ -3,16 +3,21 @@
 //!
 //! Future perf PRs need a target. [`EngineReport`] says how fast the
 //! engine is overall, but not whether the time went to heap maintenance,
-//! routing-table work, the Space-Saving sketch, the failure detector, or
-//! the tracer. [`CostAttr`] answers that with deliberately cheap
-//! accounting:
+//! the CPU/SEDA model, routing-table work, the Space-Saving sketch, the
+//! failure detector, or the tracer. [`CostAttr`] answers that with
+//! deliberately cheap accounting:
 //!
 //! * every instrumented operation increments an exact per-subsystem op
 //!   counter (deterministic — same run, same counts);
 //! * one in [`SAMPLE_EVERY`] operations is wall-clock timed, and the
 //!   sampled duration is scaled by the sampling factor, so the per-bucket
 //!   wall totals are statistically representative without paying two
-//!   `Instant::now()` calls per operation.
+//!   `Instant::now()` calls per operation;
+//! * each sample has the clock's own cost subtracted, read from an empty
+//!   interval timed right after it. A heap or CPU-model operation takes
+//!   tens of nanoseconds, about what the two clock reads around it cost,
+//!   so uncorrected samples would credit a bucket of short operations
+//!   with the clock's time instead of its own.
 //!
 //! Wall-clock numbers are machine-dependent and **must never** flow into
 //! deterministic artifacts (scrape JSONL, HTML reports, golden tests) —
@@ -46,11 +51,15 @@ pub enum Subsystem {
     Tracer,
     /// Telemetry scrapes and SLO evaluation.
     Scrape,
+    /// The processor-sharing CPU and the SEDA stage pools: task admission,
+    /// advance, completion drain and stage queue operations. Never wraps
+    /// an engine call, so it does not overlap the heap bucket.
+    Cpu,
 }
 
 impl Subsystem {
     /// Number of subsystems.
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 7;
 
     /// Every subsystem, index order.
     pub const ALL: [Subsystem; Subsystem::COUNT] = [
@@ -60,6 +69,7 @@ impl Subsystem {
         Subsystem::Detector,
         Subsystem::Tracer,
         Subsystem::Scrape,
+        Subsystem::Cpu,
     ];
 
     /// Stable lower-case name.
@@ -71,6 +81,7 @@ impl Subsystem {
             Subsystem::Detector => "detector",
             Subsystem::Tracer => "tracer",
             Subsystem::Scrape => "scrape",
+            Subsystem::Cpu => "cpu",
         }
     }
 }
@@ -110,13 +121,33 @@ impl CostAttr {
         (*ops & (SAMPLE_EVERY - 1) == 0).then(Instant::now)
     }
 
-    /// Closes a sampled operation: adds the scaled elapsed time.
+    /// Closes a sampled operation: adds the scaled elapsed time, less what
+    /// one more clock read takes right after it (the cost of the clock
+    /// itself, paid once inside every sample). The difference may be
+    /// negative, so the bucket total saturates at zero.
     #[inline]
     pub fn end(&mut self, sub: Subsystem, started: Option<Instant>) {
-        if let Some(t) = started {
-            self.wall_ns[sub as usize] +=
-                u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX) * SAMPLE_EVERY;
+        if let Some(t0) = started {
+            let t1 = Instant::now();
+            let t2 = Instant::now();
+            let nanos = |d: std::time::Duration| i64::try_from(d.as_nanos()).unwrap_or(i64::MAX);
+            let net = nanos(t1 - t0).saturating_sub(nanos(t2 - t1));
+            let bucket = &mut self.wall_ns[sub as usize];
+            *bucket = bucket.saturating_add_signed(net.saturating_mul(SAMPLE_EVERY as i64));
         }
+    }
+
+    /// Runs `f` as one operation of `sub`. When disabled this is a single
+    /// branch around the call.
+    #[inline]
+    pub fn time<R>(&mut self, sub: Subsystem, f: impl FnOnce() -> R) -> R {
+        if !self.enabled {
+            return f();
+        }
+        let started = self.begin(sub);
+        let out = f();
+        self.end(sub, started);
+        out
     }
 
     /// Folds another accumulator in: ops and wall times sum.
@@ -170,6 +201,7 @@ impl CostAttr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn disabled_accounting_does_nothing() {
@@ -187,12 +219,15 @@ mod tests {
         for _ in 0..(SAMPLE_EVERY * 3) {
             if let Some(t) = a.begin(Subsystem::Routing) {
                 sampled += 1;
+                // Work far above the timer's own cost.
+                while t.elapsed() < Duration::from_micros(20) {}
                 a.end(Subsystem::Routing, Some(t));
             }
         }
         assert_eq!(a.ops[Subsystem::Routing as usize], SAMPLE_EVERY * 3);
         assert_eq!(sampled, 3, "one sample per {SAMPLE_EVERY} ops");
-        assert!(a.wall_ns[Subsystem::Routing as usize] > 0);
+        // Three scaled 20 us samples, each less a sub-microsecond correction.
+        assert!(a.wall_ns[Subsystem::Routing as usize] >= 3 * 19_000 * SAMPLE_EVERY);
     }
 
     #[test]
@@ -214,6 +249,19 @@ mod tests {
         assert!(table.contains("heap"));
         assert!(table.contains("sketch"));
         assert!(!table.contains("detector"), "zero buckets stay hidden");
+    }
+
+    #[test]
+    fn time_counts_only_when_enabled() {
+        let mut off = CostAttr::default();
+        assert_eq!(off.time(Subsystem::Cpu, || 7), 7);
+        assert_eq!(off.total_ops(), 0);
+        let mut on = CostAttr::enabled();
+        for _ in 0..SAMPLE_EVERY {
+            on.time(Subsystem::Cpu, || ());
+        }
+        assert_eq!(on.ops[Subsystem::Cpu as usize], SAMPLE_EVERY);
+        assert!(on.table().unwrap().contains("cpu"));
     }
 
     #[test]

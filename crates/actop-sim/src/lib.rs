@@ -31,12 +31,12 @@ pub mod time;
 
 pub use attr::{CostAttr, Subsystem, SAMPLE_EVERY};
 pub use costs::CostModel;
-pub use cpu::{CpuTaskId, PsCpu};
+pub use cpu::PsCpu;
 pub use engine::{Engine, EngineReport, EventId, TickFn};
 pub use net::NetworkModel;
 pub use rng::{mix64, DetRng};
 pub use shard::{
     ConservativeRunner, GlobalCtx, OutMsg, PhaseCell, ShardCell, ShardWorld, SpinBarrier,
 };
-pub use stage::{StagePool, StageStats};
+pub use stage::{start_next, StagePool, StageStats};
 pub use time::Nanos;

@@ -87,6 +87,11 @@ pub struct StagePool<T> {
     busy: usize,
     queue: VecDeque<(Nanos, T)>,
     stats: StageStats,
+    /// The window's queue-length and busy-thread integrals, in exact
+    /// item-nanoseconds: the sum is the same however the window is cut
+    /// into integration steps. Converted into `stats` at drain time.
+    queue_len_ns: u128,
+    busy_ns: u128,
     window_start: Nanos,
     last_update: Nanos,
 }
@@ -105,6 +110,8 @@ impl<T> StagePool<T> {
             busy: 0,
             queue: VecDeque::new(),
             stats: StageStats::default(),
+            queue_len_ns: 0,
+            busy_ns: 0,
             window_start: Nanos::ZERO,
             last_update: Nanos::ZERO,
         }
@@ -135,11 +142,16 @@ impl<T> StagePool<T> {
         self.busy == 0 && self.queue.is_empty()
     }
 
+    /// True when a thread is free and an item is queued.
+    pub fn can_start(&self) -> bool {
+        self.busy < self.threads && !self.queue.is_empty()
+    }
+
     fn integrate(&mut self, now: Nanos) {
         debug_assert!(now >= self.last_update, "stage time went backwards");
-        let dt = (now - self.last_update).as_nanos() as f64;
-        self.stats.queue_len_integral += self.queue.len() as f64 * dt;
-        self.stats.busy_integral += self.busy as f64 * dt;
+        let dt = u128::from((now - self.last_update).as_nanos());
+        self.queue_len_ns += self.queue.len() as u128 * dt;
+        self.busy_ns += self.busy as u128 * dt;
         self.last_update = now;
     }
 
@@ -153,7 +165,9 @@ impl<T> StagePool<T> {
     /// If a thread is free and an item is queued, starts the item and
     /// returns it along with the time it spent queued.
     pub fn try_start(&mut self, now: Nanos) -> Option<(T, Nanos)> {
-        if self.busy >= self.threads {
+        // Nothing changes on a refusal, so skipping the integration is
+        // exact: the next step covers this span at the same levels.
+        if !self.can_start() {
             return None;
         }
         self.integrate(now);
@@ -199,10 +213,32 @@ impl<T> StagePool<T> {
     pub fn drain_stats(&mut self, now: Nanos) -> StageStats {
         self.integrate(now);
         let mut stats = std::mem::take(&mut self.stats);
+        stats.queue_len_integral = std::mem::take(&mut self.queue_len_ns) as f64;
+        stats.busy_integral = std::mem::take(&mut self.busy_ns) as f64;
         stats.window = now.saturating_sub(self.window_start);
         self.window_start = now;
         stats
     }
+}
+
+/// Starts the next item of a pipeline: the first stage at or after
+/// `*from` that can start one starts its oldest item. Returns that stage's
+/// index with the item and its queue wait, leaving `*from` at the stage
+/// (it may start another); returns `None`, with `*from` past the last
+/// stage, when no stage can start anything. Calling it until `None`
+/// starts items in the same order as draining each stage in turn.
+pub fn start_next<T>(
+    stages: &mut [StagePool<T>],
+    from: &mut usize,
+    now: Nanos,
+) -> Option<(usize, T, Nanos)> {
+    while let Some(stage) = stages.get_mut(*from) {
+        if let Some((item, wait)) = stage.try_start(now) {
+            return Some((*from, item, wait));
+        }
+        *from += 1;
+    }
+    None
 }
 
 #[cfg(test)]
@@ -315,6 +351,27 @@ mod tests {
     fn finish_without_start_panics() {
         let mut stage: StagePool<()> = StagePool::new("w", 1);
         stage.finish(us(0));
+    }
+
+    #[test]
+    fn start_next_drains_stages_in_order() {
+        let mut stages: [StagePool<u32>; 3] = [
+            StagePool::new("a", 2),
+            StagePool::new("b", 1),
+            StagePool::new("c", 1),
+        ];
+        for (stage, item) in [(0, 1), (2, 2), (0, 3), (0, 4), (1, 5), (1, 6)] {
+            stages[stage].push(us(0), item);
+        }
+        let mut from = 0;
+        let mut started = Vec::new();
+        while let Some((stage, item, _)) = start_next(&mut stages, &mut from, us(1)) {
+            started.push((stage, item));
+        }
+        // Stage 0 starts two (its thread count), then one each from 1 and 2.
+        assert_eq!(started, vec![(0, 1), (0, 3), (1, 5), (2, 2)]);
+        assert_eq!(from, 3);
+        assert!(!stages.iter().any(StagePool::can_start));
     }
 
     #[test]
