@@ -152,16 +152,24 @@ fn shard_scaling_rows() -> String {
             base_rate = rate;
         }
         let speedup = rate / base_rate.max(1.0);
+        let windows = report.windows.max(1) as f64;
         println!(
-            "shards={shards}: {:.2}M events in {:.2}s wall ({:.2}s cpu) = {:.2}M events/s ({speedup:.2}x)",
+            "shards={shards}: {:.2}M events in {:.2}s wall ({:.2}s cpu) = {:.2}M events/s ({speedup:.2}x), {:.1} events/window, {:.0}% of windows inline",
             report.events_processed as f64 / 1e6,
             report.wall_ns as f64 / 1e9,
             report.cpu_ns as f64 / 1e9,
             rate / 1e6,
+            report.events_processed as f64 / windows,
+            report.inline_windows as f64 / windows * 100.0,
         );
         out.push_str(&format!(
-            "{{\"shards\":{shards},\"events_processed\":{},\"wall_ns\":{},\"cpu_ns\":{},\"events_per_sec\":{rate:.1},\"speedup_vs_1shard\":{speedup:.2}}}\n",
-            report.events_processed, report.wall_ns, report.cpu_ns,
+            "{{\"shards\":{shards},\"events_processed\":{},\"wall_ns\":{},\"cpu_ns\":{},\"events_per_sec\":{rate:.1},\"speedup_vs_1shard\":{speedup:.2},\"windows\":{},\"inline_windows\":{},\"wait_ns\":{}}}\n",
+            report.events_processed,
+            report.wall_ns,
+            report.cpu_ns,
+            report.windows,
+            report.inline_windows,
+            report.wait_ns,
         ));
     }
     out

@@ -13,7 +13,7 @@ use actop_metrics::TimelineSample;
 use actop_partition::{decide_split, CostSignals, DenseDirectory, ExchangeOutcome, SplitDecision};
 use actop_sim::{mix64, start_next, CostAttr, DetRng, Engine, Nanos, StagePool, Subsystem};
 use actop_sketch::fxmap::{fx_map_with_capacity, FxHashMap};
-use actop_snapshot::{OpenRound, SnapshotConfig, SnapshotStore, StateCell};
+use actop_snapshot::{stragglers, OpenRound, SnapshotConfig, SnapshotStore, StateCell};
 use actop_trace::{HopKind, SpanEvent, Tracer, NO_SERVER, NO_STAGE, PROC_LABEL, QUEUE_LABEL};
 
 use crate::app::{AppLogic, Call, Outcome, Reaction};
@@ -2137,18 +2137,13 @@ impl Cluster {
             let mut round = snap.round.take().expect("checked above");
             // Sweep stragglers in actor order so the capture trace is
             // deterministic regardless of map iteration order.
-            let mut remaining: Vec<u64> = snap.cells.keys().copied().collect();
-            remaining.sort_unstable();
-            let mut swept: Vec<(u64, u32, u64)> = Vec::new();
-            for actor in remaining {
-                let (host, cell) = snap.cells[&actor];
-                if cell.version == 0 {
-                    continue; // Never written: nothing to snapshot.
-                }
-                if round.capture(actor, cell.version, cell.value, cfg.state_bytes) {
-                    swept.push((actor, host, cell.version));
-                }
-            }
+            let swept: Vec<(u64, u32, u64)> = stragglers(&snap.cells, &round.captured)
+                .into_iter()
+                .map(|(actor, host, cell)| {
+                    round.capture(actor, cell.version, cell.value, cfg.state_bytes);
+                    (actor, host, cell.version)
+                })
+                .collect();
             let captures = round.sorted_captures();
             snap.store.commit(round_id, &captures);
             (swept, captures, round.in_flight(), round.begun_at, cfg)

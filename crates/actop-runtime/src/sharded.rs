@@ -66,7 +66,7 @@ use actop_sim::{
     PhaseCell, PsCpu, ShardWorld, StagePool, Subsystem,
 };
 use actop_sketch::{FxHashMap, SpaceSaving};
-use actop_snapshot::{SnapshotConfig, SnapshotStore, StateCell};
+use actop_snapshot::{stragglers, SnapshotConfig, SnapshotStore, StateCell};
 use actop_trace::{HopKind, SpanEvent, Tracer, NO_SERVER, NO_STAGE};
 
 use crate::app::{Call, Outcome, Reaction};
@@ -678,6 +678,16 @@ impl ShardedCluster {
     /// Global ids of the servers this shard owns, ascending.
     pub fn local_servers(&self) -> Vec<usize> {
         self.slots.iter().map(|s| s.id).collect()
+    }
+
+    /// True when the last window buffered a shared-state effect for the
+    /// barrier flush: a directory op, a sketch offer or a snapshot effect.
+    fn has_buffered_effects(&self) -> bool {
+        !(self.dir_ops.is_empty()
+            && self.sketch_offers.is_empty()
+            && self.snap_overlay.is_empty()
+            && self.snap_journal_ops.is_empty()
+            && self.snap_capture_buf.is_empty())
     }
 
     /// Resets latency/counter state for steady-state measurement and
@@ -2010,17 +2020,25 @@ pub fn install_sharded_hooks(runner: &mut ConservativeRunner<ShardedCluster>) {
 
 /// The barrier hook: applies buffered directory placements (sorted,
 /// place-if-vacant, hinted ops first) and cross-server sketch offers
-/// (sorted, aggregated), then clears every server's placement overlay.
+/// (sorted, aggregated), then clears the placement overlays of the
+/// shards that placed. Runs after every window, so its cost follows what
+/// the window buffered: a window that buffered nothing returns at once.
 pub fn barrier_flush(ctx: &mut GlobalCtx<'_, ShardedCluster>) {
+    if !ctx.cells().iter().any(|c| c.world.has_buffered_effects()) {
+        return;
+    }
     let shared = shared_of(ctx);
     let mut ops: Vec<DirOp> = Vec::new();
     let mut offers: Vec<(u32, ActorId, ActorId)> = Vec::new();
     for cell in ctx.cells() {
-        ops.append(&mut cell.world.dir_ops);
-        offers.append(&mut cell.world.sketch_offers);
-        for slot in &mut cell.world.slots {
-            slot.dir_overlay.clear();
+        if !cell.world.dir_ops.is_empty() {
+            // Overlay entries are only made alongside a buffered op.
+            ops.append(&mut cell.world.dir_ops);
+            for slot in &mut cell.world.slots {
+                slot.dir_overlay.clear();
+            }
         }
+        offers.append(&mut cell.world.sketch_offers);
     }
     if !ops.is_empty() {
         ops.sort_unstable_by_key(|o| (o.actor, !o.hinted, o.target, o.src));
@@ -2635,18 +2653,13 @@ fn sharded_snapshot_sweep(ctx: Ctx<'_, '_>, cfg: SnapshotConfig, round_id: u64) 
             let mut round = snap.round.take().expect("checked above");
             // Sweep stragglers in actor order so the capture trace is
             // deterministic regardless of map iteration order.
-            let mut remaining: Vec<u64> = snap.cells.keys().copied().collect();
-            remaining.sort_unstable();
-            let mut swept: Vec<(u64, u32, u64)> = Vec::new();
-            for actor in remaining {
-                let (host, cell) = snap.cells[&actor];
-                if cell.version == 0 {
-                    continue; // Never written: nothing to snapshot.
-                }
-                if round.capture(actor, cell.version, cell.value, cfg.state_bytes) {
-                    swept.push((actor, host, cell.version));
-                }
-            }
+            let swept: Vec<(u64, u32, u64)> = stragglers(&snap.cells, &round.captured)
+                .into_iter()
+                .map(|(actor, host, cell)| {
+                    round.capture(actor, cell.version, cell.value, cfg.state_bytes);
+                    (actor, host, cell.version)
+                })
+                .collect();
             let captures = round.sorted_captures();
             snap.store.commit(round_id, &captures);
             (
@@ -3341,5 +3354,73 @@ mod tests {
             .map(|c| c.world.metrics().migrations)
             .sum();
         assert_eq!(migrations, 1);
+    }
+
+    /// The sharded round's straggler sweep against the sort-everything
+    /// loop it replaced, on a cell map inserted in scrambled actor order
+    /// with never-written cells and lazily captured actors.
+    #[test]
+    fn snapshot_sweep_matches_the_sort_everything_reference() {
+        let mut cells: FxHashMap<u64, (u32, StateCell)> = FxHashMap::default();
+        for i in 0..400u64 {
+            let actor = mix64(i ^ 0x5eed) % 100_000;
+            let mut cell = StateCell::default();
+            for _ in 0..i % 3 {
+                cell.apply_write(actor);
+            }
+            cells.insert(actor, ((i % 6) as u32, cell));
+        }
+        let mut lazy: Vec<u64> = cells.keys().copied().filter(|a| a % 4 == 1).collect();
+        lazy.sort_unstable();
+        let open = || {
+            let mut round = SRound {
+                id: 2,
+                begun_at: Nanos::ZERO,
+                marked: vec![true; 6],
+                in_flight: 0,
+                captured: FxHashMap::default(),
+                bytes: 0,
+            };
+            for &a in &lazy {
+                round.capture(a, 1, 0xCD, 64);
+            }
+            round
+        };
+        let mut reference = open();
+        let mut keys: Vec<u64> = cells.keys().copied().collect();
+        keys.sort_unstable();
+        let mut want = Vec::new();
+        for actor in keys {
+            let (host, cell) = cells[&actor];
+            if cell.version > 0 && reference.capture(actor, cell.version, cell.value, 64) {
+                want.push((actor, host, cell.version));
+            }
+        }
+        let mut round = open();
+        let swept: Vec<(u64, u32, u64)> = stragglers(&cells, &round.captured)
+            .into_iter()
+            .map(|(actor, host, cell)| {
+                round.capture(actor, cell.version, cell.value, 64);
+                (actor, host, cell.version)
+            })
+            .collect();
+        assert!(!swept.is_empty() && swept.len() < cells.len());
+        // The swept list is also the SnapCapture span order.
+        assert_eq!(swept, want, "swept list");
+        let order = |r: &SRound| r.captured.iter().map(|(&a, &c)| (a, c)).collect::<Vec<_>>();
+        assert_eq!(order(&round), order(&reference), "capture order");
+        assert_eq!(round.bytes, reference.bytes);
+        let captures = round.sorted_captures();
+        assert_eq!(captures, reference.sorted_captures(), "committed captures");
+        let (mut a, mut b) = (SnapshotStore::new(), SnapshotStore::new());
+        a.commit(2, &captures);
+        b.commit(2, &reference.sorted_captures());
+        for &actor in cells.keys() {
+            assert_eq!(
+                a.restore(actor),
+                b.restore(actor),
+                "committed actor {actor}"
+            );
+        }
     }
 }

@@ -102,6 +102,20 @@ pub struct EngineReport {
     ///
     /// [`merge`]: EngineReport::merge
     pub cpu_ns: u128,
+    /// Conservative windows a sharded runner executed (zero for a plain
+    /// engine). Summed under [`merge`].
+    ///
+    /// [`merge`]: EngineReport::merge
+    pub windows: u64,
+    /// Of [`windows`](EngineReport::windows), those executed inline on
+    /// the calling thread rather than by worker threads. The split is
+    /// chosen from measured wall time, so it varies from run to run and
+    /// must stay out of deterministic artifacts.
+    pub inline_windows: u64,
+    /// Nanoseconds the runner's threads spent at window barriers during
+    /// threaded windows, summed across threads (sampled like the busy
+    /// and serial split unless cost attribution is on).
+    pub wait_ns: u128,
     /// Opt-in per-subsystem cost attribution ([`Engine::set_cost_attr`]).
     /// The engine fills the heap bucket; runtimes layered on top fold
     /// their own buckets (routing, sketch, detector, tracer, scrape) in
@@ -132,14 +146,19 @@ impl EngineReport {
         self.peak_pending = self.peak_pending.max(other.peak_pending);
         self.wall_ns = self.wall_ns.max(other.wall_ns);
         self.cpu_ns += other.cpu_ns;
+        self.windows += other.windows;
+        self.inline_windows += other.inline_windows;
+        self.wait_ns += other.wait_ns;
         self.attr.merge(&other.attr);
     }
 
     /// The one-line summary the bench binaries print: throughput against
     /// the wall-clock span, with the summed CPU time alongside so parallel
-    /// runs show both elapsed time and total work.
+    /// runs show both elapsed time and total work. Windowed runs add
+    /// windows/s, events per window, the inline share of the windows and
+    /// the barrier wait.
     pub fn line(&self) -> String {
-        format!(
+        let mut line = format!(
             "engine: {:.2}M events in {:.2}s wall ({:.2}s cpu) = {:.2}M events/s, peak queue {}, cancels {}, reschedules {}",
             self.events_processed as f64 / 1e6,
             self.wall_ns as f64 / 1e9,
@@ -148,7 +167,24 @@ impl EngineReport {
             self.peak_pending,
             self.cancels,
             self.reschedules,
-        )
+        );
+        if self.windows > 0 {
+            let windows = self.windows as f64;
+            let per_sec = if self.wall_ns == 0 {
+                0.0
+            } else {
+                windows / (self.wall_ns as f64 / 1e9)
+            };
+            line.push_str(&format!(
+                ", {:.2}M windows = {:.0}K windows/s, {:.1} events/window, {:.0}% inline, {:.2}s barrier wait",
+                windows / 1e6,
+                per_sec / 1e3,
+                self.events_processed as f64 / windows,
+                self.inline_windows as f64 / windows * 100.0,
+                self.wait_ns as f64 / 1e9,
+            ));
+        }
+        line
     }
 }
 
@@ -258,6 +294,7 @@ impl<W> Engine<W> {
             // run loops equals the time they spanned.
             cpu_ns: self.wall_ns,
             attr: self.attr,
+            ..EngineReport::default()
         }
     }
 
@@ -533,8 +570,12 @@ impl<W> Engine<W> {
     /// primitive: a conservative-parallel window `[start, end)` owns
     /// exactly the events before `end`, and events *at* `end` belong to
     /// the next window (after the barrier that opens it).
+    ///
+    /// Unlike the other run loops this one reads no clock: a window holds
+    /// a handful of events, so two clock reads per call would be a visible
+    /// share of it. The windowed runner times a sample of the calls itself
+    /// and credits them through [`Engine::record_busy`].
     pub fn run_before(&mut self, world: &mut W, end: Nanos) {
-        let started = std::time::Instant::now();
         while let Some(head) = self.heap.first() {
             if head.at >= end {
                 break;
@@ -545,7 +586,12 @@ impl<W> Engine<W> {
         if end != Nanos::MAX {
             self.now = self.now.max(end);
         }
-        self.wall_ns += started.elapsed().as_nanos();
+    }
+
+    /// Credits `ns` of run-loop time measured outside the engine (by a
+    /// caller of [`Engine::run_before`]) to [`EngineReport::wall_ns`].
+    pub fn record_busy(&mut self, ns: u128) {
+        self.wall_ns += ns;
     }
 
     /// Runs events until `keep_going` returns false (checked before each
@@ -846,6 +892,39 @@ mod tests {
         let line = m.line();
         assert!(line.contains("wall"), "{line}");
         assert!(line.contains("cpu"), "{line}");
+    }
+
+    #[test]
+    fn windowed_reports_merge_and_print_window_rates() {
+        let plain = EngineReport {
+            events_processed: 10,
+            wall_ns: 1_000_000_000,
+            ..EngineReport::default()
+        };
+        assert!(!plain.line().contains("window"), "{}", plain.line());
+        let mut m = EngineReport {
+            events_processed: 600,
+            wall_ns: 2_000_000_000,
+            windows: 100,
+            inline_windows: 75,
+            wait_ns: 500_000_000,
+            ..EngineReport::default()
+        };
+        m.merge(&EngineReport {
+            windows: 20,
+            inline_windows: 20,
+            wait_ns: 0,
+            ..plain
+        });
+        assert_eq!(
+            (m.windows, m.inline_windows, m.wait_ns),
+            (120, 95, 500_000_000)
+        );
+        let line = m.line();
+        assert!(line.contains("windows/s"), "{line}");
+        assert!(line.contains("5.1 events/window"), "{line}");
+        assert!(line.contains("79% inline"), "{line}");
+        assert!(line.contains("0.50s barrier wait"), "{line}");
     }
 
     /// Heavy interleaved churn keeps the indexed heap consistent: firing

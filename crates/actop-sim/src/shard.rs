@@ -23,6 +23,12 @@
 //!    its own thread. No shard touches another shard's state, and shared
 //!    state ([`PhaseCell`]) is read-only during this phase.
 //!
+//! Windows run in timed blocks, each either *inline* (the calling thread
+//! runs every shard in shard order) or *threaded* (the protocol above on
+//! worker threads); each block takes the mode that measured cheaper per
+//! window, so a run never pays for threads that do not pay for
+//! themselves. Both modes execute the same windows in the same order.
+//!
 //! Determinism across shard counts is by construction: window boundaries
 //! are a function of global event times and the union of pending event
 //! times (both independent of the partitioning); each event executes
@@ -37,6 +43,9 @@ use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
+use std::time::{Duration, Instant};
+
+use crate::attr::SAMPLE_EVERY;
 use crate::engine::{Engine, EngineReport};
 use crate::time::Nanos;
 
@@ -157,9 +166,13 @@ unsafe impl<W: ShardWorld> Sync for CellPad<W> {}
 // ---------------------------------------------------------------------
 
 /// A spinning sense-reversing barrier. Windows are ~microseconds of work
-/// per shard (tens of events under a 250 µs lookahead), so parking-based
-/// synchronization would dominate; spinning costs nanoseconds. After a
-/// bounded spin the waiter yields its timeslice.
+/// per shard — a handful of events under a 250 µs lookahead (7.5 events
+/// per window, under 4 per shard, on the 2-shard scale-celebrity
+/// benchmark workload) — so parking-based synchronization would dominate;
+/// spinning costs nanoseconds. After a bounded spin the waiter yields its
+/// timeslice. Windows that thin make even a spinning round trip a large
+/// share of a window, which is why [`ConservativeRunner::run_until`]
+/// measures whether threading pays at all before using it.
 ///
 /// When participants outnumber the machine's cores the spin premise
 /// collapses: some participant is always descheduled, the straggler can
@@ -360,8 +373,17 @@ struct RunnerCore<W: ShardWorld> {
     globals_run: u64,
     hook: Option<BarrierHook<W>>,
     now: Nanos,
-    serial_ns: u128,
     outbox_scratch: Vec<OutMsg<W::Msg>>,
+    /// Windows executed so far, and how many of them ran inline.
+    windows: u64,
+    inline_windows: u64,
+    /// Time every window instead of one in [`SAMPLE_EVERY`] (set while
+    /// any shard engine has cost attribution on).
+    exact: bool,
+    /// Serial-phase and barrier-wait time of the timed windows, scaled by
+    /// the sampling factor.
+    serial_ns: u128,
+    wait_ns: u128,
 }
 
 impl<W: ShardWorld> RunnerCore<W> {
@@ -373,11 +395,23 @@ impl<W: ShardWorld> RunnerCore<W> {
         }
     }
 
+    /// The stopwatch for the next window: running on every window when
+    /// timing is exact, else on one window in [`SAMPLE_EVERY`], whose laps
+    /// are scaled up to stand for the windows in between.
+    fn window_clock(&self) -> Option<Lap> {
+        if self.exact {
+            Lap::start(1)
+        } else if self.windows.is_multiple_of(SAMPLE_EVERY) {
+            Lap::start(SAMPLE_EVERY)
+        } else {
+            None
+        }
+    }
+
     /// One serial phase: drain outboxes, run the hook, run due globals,
     /// pick the next window and inject its messages. Returns the window
     /// end, or `None` when nothing remains before `end`.
     fn serial_phase(&mut self, cells: &mut [ShardCell<W>], end: Nanos) -> Option<Nanos> {
-        let started = std::time::Instant::now();
         // 1. Drain outboxes into staging.
         let mut scratch = std::mem::take(&mut self.outbox_scratch);
         for cell in cells.iter_mut() {
@@ -464,12 +498,177 @@ impl<W: ShardWorld> RunnerCore<W> {
             }
             break Some(window_end);
         };
-        self.serial_ns += started.elapsed().as_nanos();
         match window {
             Some(window_end) => self.now = window_end,
             None => self.now = self.now.max(end),
         }
         window
+    }
+}
+
+/// A timed window's stopwatch: each [`lap`] returns the time since the
+/// previous one, scaled by the sampling factor.
+struct Lap {
+    at: Instant,
+    scale: u64,
+}
+
+impl Lap {
+    fn start(scale: u64) -> Option<Lap> {
+        Some(Lap {
+            at: Instant::now(),
+            scale,
+        })
+    }
+}
+
+/// The scaled nanoseconds since the clock's last lap, restarting it; zero
+/// without a clock read on an untimed window.
+fn lap(clock: &mut Option<Lap>) -> u128 {
+    let Some(c) = clock else {
+        return 0;
+    };
+    let now = Instant::now();
+    let ns = (now - c.at).as_nanos() * u128::from(c.scale);
+    c.at = now;
+    ns
+}
+
+/// Runs one shard's share of a window, crediting its busy time to the
+/// shard's engine when the window is timed.
+fn run_window<W: ShardWorld>(cell: &mut ShardCell<W>, horizon: Nanos, clock: &mut Option<Lap>) {
+    cell.engine.run_before(&mut cell.world, horizon);
+    if clock.is_some() {
+        cell.engine.record_busy(lap(clock));
+    }
+}
+
+/// What ends a block besides the horizon: its window count, and for a
+/// probe a deadline, checked at the start of each timed window after the
+/// first (so a block always makes progress and the check costs no extra
+/// clock read).
+#[derive(Debug, Clone, Copy)]
+struct BlockLimit {
+    windows: u64,
+    deadline: Option<Instant>,
+}
+
+impl BlockLimit {
+    /// Whether the block should stop before its `ran`-th window, whose
+    /// stopwatch (if the window is timed) is `clock`.
+    fn reached(&self, ran: u64, clock: &Option<Lap>) -> bool {
+        ran == self.windows
+            || (ran > 0 && matches!((self.deadline, clock), (Some(d), Some(c)) if c.at > d))
+    }
+}
+
+// ---------------------------------------------------------------------
+// Choosing how each block of windows runs.
+// ---------------------------------------------------------------------
+
+/// Windows per timed block: enough that a threaded block's thread spawns
+/// and the block's clock read vanish against its windows, few enough that
+/// the choice is revisited every few milliseconds of wall time.
+const BLOCK_WINDOWS: u64 = 1_024;
+
+/// After this many blocks in the cheaper mode, one block re-probes the
+/// other, so a change in window density is noticed.
+const PROBE_EVERY: u32 = 32;
+
+/// How one block of windows executes. Both modes run the same windows in
+/// the same order, so the choice never changes a simulated bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// The calling thread runs every shard in shard order — the
+    /// sequential oracle's loop.
+    Inline,
+    /// Worker threads run the shards between barriers.
+    Threaded,
+}
+
+impl Mode {
+    fn other(self) -> Mode {
+        match self {
+            Mode::Inline => Mode::Threaded,
+            Mode::Threaded => Mode::Inline,
+        }
+    }
+}
+
+/// Whether threaded blocks may run at all: only with two or more workers
+/// on a machine with two or more cores.
+fn may_thread(workers: usize, cores: usize) -> bool {
+    workers > 1 && cores > 1
+}
+
+/// Picks each block's mode from measured wall time per window. Blocks run
+/// in the *favourite* mode, whose cost per window is smoothed over its
+/// recent blocks; every [`PROBE_EVERY`] blocks one block runs the other
+/// mode, and the favourite changes only when that probe is cheaper. The
+/// favourite's own swings (a block holding a partition round, a denser
+/// patch of windows) therefore never flip the mode by themselves. Block
+/// timings are the only input; the first favourite is inline, and the
+/// first probe follows the first block.
+#[derive(Debug, Clone)]
+struct BlockChooser {
+    favourite: Mode,
+    /// Smoothed nanoseconds per window of the favourite's blocks.
+    favourite_cost: Option<f64>,
+    /// Favourite blocks since the other mode was last probed.
+    since_probe: u32,
+}
+
+impl Default for BlockChooser {
+    fn default() -> Self {
+        BlockChooser {
+            favourite: Mode::Inline,
+            favourite_cost: None,
+            since_probe: PROBE_EVERY,
+        }
+    }
+}
+
+impl BlockChooser {
+    /// The next block's mode; always inline unless `threaded_ok`.
+    fn next(&self, threaded_ok: bool) -> Mode {
+        if !threaded_ok {
+            Mode::Inline
+        } else if self.favourite_cost.is_some() && self.since_probe >= PROBE_EVERY {
+            self.favourite.other()
+        } else {
+            self.favourite
+        }
+    }
+
+    /// How long a block of `windows` windows in `mode` may run: unbounded
+    /// for the favourite; for a probe, the favourite's time for the whole
+    /// block. A probe that has spent that much can no longer come out
+    /// cheaper per window, so it stops there, which bounds what a probe
+    /// of a badly losing mode costs.
+    fn budget(&self, mode: Mode, windows: u64) -> Option<Duration> {
+        if mode == self.favourite {
+            return None;
+        }
+        Duration::try_from_secs_f64(self.favourite_cost? * windows as f64 / 1e9).ok()
+    }
+
+    /// Records a finished block: `windows` windows in `ns` nanoseconds.
+    fn record(&mut self, mode: Mode, windows: u64, ns: u128) {
+        if windows == 0 {
+            return;
+        }
+        let cost = ns as f64 / windows as f64;
+        if mode == self.favourite {
+            let smoothed = self.favourite_cost.map_or(cost, |c| c + (cost - c) / 4.0);
+            self.favourite_cost = Some(smoothed);
+            self.since_probe += 1;
+        } else {
+            self.since_probe = 0;
+            if self.favourite_cost.is_none_or(|c| cost < c) {
+                self.favourite = mode;
+                self.favourite_cost = Some(cost);
+            }
+        }
     }
 }
 
@@ -480,6 +679,7 @@ impl<W: ShardWorld> RunnerCore<W> {
 pub struct ConservativeRunner<W: ShardWorld> {
     cells: Vec<ShardCell<W>>,
     core: RunnerCore<W>,
+    chooser: BlockChooser,
     /// Wall-clock spanned by `run_until` calls (includes barrier and
     /// serial-phase overhead, unlike the per-shard engine numbers).
     wall_ns: u128,
@@ -510,9 +710,14 @@ impl<W: ShardWorld> ConservativeRunner<W> {
                 globals_run: 0,
                 hook: None,
                 now: Nanos::ZERO,
-                serial_ns: 0,
                 outbox_scratch: Vec::new(),
+                windows: 0,
+                inline_windows: 0,
+                exact: false,
+                serial_ns: 0,
+                wait_ns: 0,
             },
+            chooser: BlockChooser::default(),
             wall_ns: 0,
         }
     }
@@ -564,6 +769,11 @@ impl<W: ShardWorld> ConservativeRunner<W> {
     /// the runner's own elapsed span (barriers included), CPU the sum of
     /// the shard loops plus the serial phases. Global events count as
     /// events.
+    ///
+    /// The split of CPU time between shard loops, serial phases and
+    /// barrier waits is timed on one window in [`SAMPLE_EVERY`] and scaled
+    /// up (on every window while cost attribution is on), so the busy
+    /// and serial figures are estimates; the wall span is exact.
     pub fn report(&self) -> EngineReport {
         let mut merged = EngineReport::default();
         for cell in &self.cells {
@@ -572,16 +782,71 @@ impl<W: ShardWorld> ConservativeRunner<W> {
         merged.events_processed += self.core.globals_run;
         merged.wall_ns = self.wall_ns;
         merged.cpu_ns += self.core.serial_ns;
+        merged.windows = self.core.windows;
+        merged.inline_windows = self.core.inline_windows;
+        merged.wait_ns = self.core.wait_ns;
         merged
     }
 
     /// Runs the protocol on the calling thread only — the single-thread
     /// oracle: identical results to any threaded run, no concurrency.
     pub fn run_sequential(&mut self, end: Nanos) {
-        let started = std::time::Instant::now();
-        while let Some(window_end) = self.core.serial_phase(&mut self.cells, end) {
-            for cell in &mut self.cells {
-                cell.engine.run_before(&mut cell.world, window_end);
+        self.run_blocks(end, 1, u64::MAX, |_| Mode::Inline);
+    }
+
+    /// Runs the protocol with up to `threads` worker threads (shards are
+    /// dealt round-robin across workers), never slower than the
+    /// sequential oracle by more than the cost of probing: windows run in
+    /// timed blocks, each either inline on the calling thread or threaded,
+    /// and every block takes whichever mode measured cheaper per window
+    /// (see [`BlockChooser`]). `threads <= 1` — or a machine with a
+    /// single core, where worker threads could only interleave through
+    /// the scheduler — runs inline only. Results are byte-identical
+    /// either way.
+    pub fn run_until(&mut self, end: Nanos, threads: usize) {
+        let workers = threads.min(self.cells.len());
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let threaded_ok = may_thread(workers, cores);
+        self.run_blocks(end, workers, BLOCK_WINDOWS, |chooser| {
+            chooser.next(threaded_ok)
+        });
+    }
+
+    /// Drives blocks of up to `block` windows until nothing remains before
+    /// `end`, each in the mode `pick` returns, and feeds every block's
+    /// wall time per window back to the chooser — one clock read per
+    /// block boundary.
+    fn run_blocks(
+        &mut self,
+        end: Nanos,
+        workers: usize,
+        block: u64,
+        mut pick: impl FnMut(&BlockChooser) -> Mode,
+    ) {
+        let started = Instant::now();
+        self.core.exact = self
+            .cells
+            .iter_mut()
+            .any(|c| c.engine.cost_attr_mut().enabled);
+        let mut stamp = started;
+        loop {
+            let mode = pick(&self.chooser);
+            let limit = BlockLimit {
+                windows: block,
+                deadline: self
+                    .chooser
+                    .budget(mode, block)
+                    .and_then(|budget| stamp.checked_add(budget)),
+            };
+            let (windows, done) = match mode {
+                Mode::Inline => self.inline_block(end, limit),
+                Mode::Threaded => self.threaded_block(end, limit, workers),
+            };
+            let now = Instant::now();
+            self.chooser.record(mode, windows, (now - stamp).as_nanos());
+            stamp = now;
+            if done {
+                break;
             }
         }
         for cell in &mut self.cells {
@@ -591,82 +856,123 @@ impl<W: ShardWorld> ConservativeRunner<W> {
         self.wall_ns += started.elapsed().as_nanos();
     }
 
-    /// Runs the protocol with `threads` worker threads (shards are dealt
-    /// round-robin across workers). `threads <= 1` — or a machine with a
-    /// single core, where worker threads could only interleave through the
-    /// scheduler and every barrier would cost quanta instead of
-    /// nanoseconds — falls back to the sequential oracle. Results are
-    /// byte-identical either way.
-    pub fn run_until(&mut self, end: Nanos, threads: usize) {
-        let workers = threads.min(self.cells.len());
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-        if workers <= 1 || cores == 1 {
-            return self.run_sequential(end);
+    /// Runs windows on the calling thread, every shard in shard order,
+    /// until `limit` or the horizon. Returns the windows run and whether
+    /// the horizon was reached.
+    fn inline_block(&mut self, end: Nanos, limit: BlockLimit) -> (u64, bool) {
+        let (cells, core) = (&mut self.cells, &mut self.core);
+        let mut ran = 0;
+        loop {
+            let mut clock = core.window_clock();
+            if limit.reached(ran, &clock) {
+                return (ran, false);
+            }
+            let Some(horizon) = core.serial_phase(cells, end) else {
+                return (ran, true);
+            };
+            core.serial_ns += lap(&mut clock);
+            for cell in cells.iter_mut() {
+                run_window(cell, horizon, &mut clock);
+            }
+            core.windows += 1;
+            core.inline_windows += 1;
+            ran += 1;
         }
-        let started = std::time::Instant::now();
+    }
+
+    /// Runs windows with `workers` threads until `limit` or the horizon:
+    /// the calling thread runs the serial phases and the worker-0 share of
+    /// every window, the other workers live for this block only. Returns
+    /// the windows run and whether the horizon was reached.
+    fn threaded_block(&mut self, end: Nanos, limit: BlockLimit, workers: usize) -> (u64, bool) {
         let n = self.cells.len();
         let pads: Vec<CellPad<W>> = std::mem::take(&mut self.cells)
             .into_iter()
             .map(|c| CellPad(UnsafeCell::new(c)))
             .collect();
         let window_end = AtomicU64::new(0);
+        // The timed window's sampling factor, 0 when untimed.
+        let window_scale = AtomicU64::new(0);
         let stop = AtomicBool::new(false);
         let start_barrier = SpinBarrier::new(workers);
         let end_barrier = SpinBarrier::new(workers);
         let core = &mut self.core;
-        std::thread::scope(|scope| {
-            for w in 1..workers {
-                let (pads, window_end) = (&pads, &window_end);
-                let (stop, start_barrier, end_barrier) = (&stop, &start_barrier, &end_barrier);
-                scope.spawn(move || loop {
-                    start_barrier.wait();
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let horizon = Nanos(window_end.load(Ordering::Acquire));
-                    for pad in pads.iter().skip(w).step_by(workers) {
-                        // SAFETY: between the start and end barriers,
-                        // worker `w` exclusively owns shards w, w+k, ...
-                        let cell = unsafe { &mut *pad.0.get() };
-                        cell.engine.run_before(&mut cell.world, horizon);
-                    }
-                    end_barrier.wait();
-                });
-            }
+        let outcome = std::thread::scope(|scope| {
+            let handles: Vec<_> = (1..workers)
+                .map(|w| {
+                    let (pads, window_end, window_scale) = (&pads, &window_end, &window_scale);
+                    let (stop, start_barrier, end_barrier) = (&stop, &start_barrier, &end_barrier);
+                    scope.spawn(move || {
+                        // A timed window's clock runs on through the
+                        // barriers, so the lap after the next start
+                        // barrier is this worker's wait.
+                        let mut clock = None;
+                        let mut wait_ns = 0;
+                        loop {
+                            start_barrier.wait();
+                            wait_ns += lap(&mut clock);
+                            if stop.load(Ordering::Acquire) {
+                                break wait_ns;
+                            }
+                            let horizon = Nanos(window_end.load(Ordering::Acquire));
+                            clock = match window_scale.load(Ordering::Acquire) {
+                                0 => None,
+                                scale => Lap::start(scale),
+                            };
+                            for pad in pads.iter().skip(w).step_by(workers) {
+                                // SAFETY: between the start and end
+                                // barriers, worker `w` exclusively owns
+                                // shards w, w+k, ...
+                                let cell = unsafe { &mut *pad.0.get() };
+                                run_window(cell, horizon, &mut clock);
+                            }
+                            end_barrier.wait();
+                        }
+                    })
+                })
+                .collect();
             // Coordinator (this thread): serial phases while the workers
             // are parked, plus the worker-0 share of each parallel phase.
-            loop {
+            let mut ran = 0;
+            let done = loop {
+                let mut clock = core.window_clock();
+                if limit.reached(ran, &clock) {
+                    break false;
+                }
                 // SAFETY: every worker is parked at `start_barrier`, so
                 // the serial phase has exclusive access to all cells.
                 // `CellPad` is repr(transparent) over `ShardCell`.
                 let cells: &mut [ShardCell<W>] = unsafe {
                     std::slice::from_raw_parts_mut(pads.as_ptr() as *mut ShardCell<W>, n)
                 };
-                match core.serial_phase(cells, end) {
-                    None => {
-                        stop.store(true, Ordering::Release);
-                        start_barrier.wait();
-                        break;
-                    }
-                    Some(horizon) => {
-                        window_end.store(horizon.as_nanos(), Ordering::Release);
-                        start_barrier.wait();
-                        for pad in pads.iter().step_by(workers) {
-                            // SAFETY: the worker-0 share of the parallel
-                            // phase; no other thread touches these cells.
-                            let cell = unsafe { &mut *pad.0.get() };
-                            cell.engine.run_before(&mut cell.world, horizon);
-                        }
-                        end_barrier.wait();
-                    }
+                let Some(horizon) = core.serial_phase(cells, end) else {
+                    break true;
+                };
+                core.serial_ns += lap(&mut clock);
+                window_end.store(horizon.as_nanos(), Ordering::Release);
+                window_scale.store(clock.as_ref().map_or(0, |c| c.scale), Ordering::Release);
+                start_barrier.wait();
+                core.wait_ns += lap(&mut clock);
+                for pad in pads.iter().step_by(workers) {
+                    // SAFETY: the worker-0 share of the parallel phase; no
+                    // other thread touches these cells.
+                    let cell = unsafe { &mut *pad.0.get() };
+                    run_window(cell, horizon, &mut clock);
                 }
+                end_barrier.wait();
+                core.wait_ns += lap(&mut clock);
+                core.windows += 1;
+                ran += 1;
+            };
+            stop.store(true, Ordering::Release);
+            start_barrier.wait();
+            for handle in handles {
+                core.wait_ns += handle.join().expect("shard worker panicked");
             }
+            (ran, done)
         });
         self.cells = pads.into_iter().map(|p| p.0.into_inner()).collect();
-        for cell in &mut self.cells {
-            cell.engine.run_before(&mut cell.world, end);
-        }
-        self.wall_ns += started.elapsed().as_nanos();
+        outcome
     }
 }
 
@@ -797,10 +1103,22 @@ mod tests {
     type ServerLogs = Vec<(u32, Vec<(u64, u64)>)>;
 
     fn run_and_collect(shards: u32, threads: usize) -> (ServerLogs, u64) {
+        let (logs, report) = collect_with(shards, |runner, end| runner.run_until(end, threads));
+        (logs, report.events_processed)
+    }
+
+    /// Runs the toy world with `run` (which takes the runner and a
+    /// horizon) to 60 ms and then to 200 ms; returns the per-server logs
+    /// and the runner's report.
+    fn collect_with(
+        shards: u32,
+        mut run: impl FnMut(&mut ConservativeRunner<ToyShard>, Nanos),
+    ) -> (ServerLogs, EngineReport) {
         let mut runner = build(shards);
         runner.schedule_global(Nanos(500_000), |ctx| global_stamp(ctx, 3));
-        runner.run_until(Nanos::from_millis(200), threads);
-        let events = runner.report().events_processed;
+        run(&mut runner, Nanos::from_millis(60));
+        run(&mut runner, Nanos::from_millis(200));
+        let report = runner.report();
         let mut logs: ServerLogs = Vec::new();
         for world in runner.into_worlds() {
             for (s, log) in world.logs {
@@ -808,7 +1126,130 @@ mod tests {
             }
         }
         logs.sort_by_key(|(s, _)| *s);
-        (logs, events)
+        (logs, report)
+    }
+
+    #[test]
+    fn forced_block_schedules_match_sequential() {
+        let (base, base_report) = collect_with(4, |runner, end| runner.run_sequential(end));
+        assert_eq!(base_report.inline_windows, base_report.windows);
+        for block in [1u64, 3, 7] {
+            for first in [Mode::Inline, Mode::Threaded] {
+                for threads in [2usize, 4] {
+                    // Alternate modes block by block, starting with `first`.
+                    let mut mode = first.other();
+                    let (logs, report) = collect_with(4, |runner, end| {
+                        runner.run_blocks(end, threads, block, |_| {
+                            mode = mode.other();
+                            mode
+                        })
+                    });
+                    let case = format!("block={block} first={first:?} threads={threads}");
+                    assert_eq!(logs, base, "{case}: logs diverged from sequential");
+                    assert_eq!(
+                        report.events_processed, base_report.events_processed,
+                        "{case}: event count diverged"
+                    );
+                    assert_eq!(report.windows, base_report.windows, "{case}");
+                    assert!(
+                        report.inline_windows > 0 && report.inline_windows < report.windows,
+                        "{case}: both modes ran ({} of {} inline)",
+                        report.inline_windows,
+                        report.windows
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chooser_runs_the_cheaper_mode_and_reprobes_on_cadence() {
+        let mut chooser = BlockChooser::default();
+        // One inline block, then the first probe of threading, which
+        // costs more per window: inline stays.
+        assert_eq!(chooser.next(true), Mode::Inline);
+        chooser.record(Mode::Inline, 1_000, 4_000_000);
+        assert_eq!(chooser.next(true), Mode::Threaded);
+        chooser.record(Mode::Threaded, 1_000, 6_000_000);
+        // Inline runs PROBE_EVERY blocks, then threading is probed again.
+        // A single slow inline block on the way does not flip the mode.
+        for i in 0..PROBE_EVERY {
+            assert_eq!(chooser.next(true), Mode::Inline);
+            let ns = if i == 5 { 14_000_000 } else { 4_000_000 };
+            chooser.record(Mode::Inline, 1_000, ns);
+        }
+        assert_eq!(chooser.next(true), Mode::Threaded, "probe on cadence");
+        // Windows got denser: the probe finds threading cheaper, and it
+        // takes over until inline is probed in turn.
+        chooser.record(Mode::Threaded, 1_000, 3_000_000);
+        for _ in 0..PROBE_EVERY {
+            assert_eq!(chooser.next(true), Mode::Threaded);
+            chooser.record(Mode::Threaded, 1_000, 3_000_000);
+        }
+        assert_eq!(chooser.next(true), Mode::Inline, "probe on cadence");
+        // Cost is per window: a short probe that took less time in total
+        // but more per window does not win.
+        chooser.record(Mode::Inline, 10, 40_000);
+        assert_eq!(chooser.next(true), Mode::Threaded);
+        // A block cut short before any window carries no timing.
+        chooser.record(Mode::Inline, 0, 1);
+        assert_eq!(chooser.favourite, Mode::Threaded);
+        assert_eq!(chooser.since_probe, 0);
+    }
+
+    #[test]
+    fn a_probe_stops_once_it_has_provably_lost() {
+        let mut chooser = BlockChooser::default();
+        assert_eq!(chooser.budget(Mode::Inline, 1_000), None, "favourite");
+        assert_eq!(chooser.budget(Mode::Threaded, 1_000), None, "no timing yet");
+        chooser.record(Mode::Inline, 1_000, 4_000_000);
+        assert_eq!(chooser.budget(Mode::Inline, 1_000), None);
+        assert_eq!(
+            chooser.budget(Mode::Threaded, 1_000),
+            Some(Duration::from_millis(4)),
+            "the favourite's time for the whole block"
+        );
+        // Past the deadline a block stops at its next timed window, but
+        // never before its first window and never on an untimed one.
+        let limit = BlockLimit {
+            windows: 1_000,
+            deadline: Some(Instant::now()),
+        };
+        std::thread::sleep(Duration::from_millis(1));
+        let timed = Lap::start(1);
+        assert!(!limit.reached(0, &timed), "a block always makes progress");
+        assert!(limit.reached(1, &timed));
+        assert!(!limit.reached(1, &None));
+        assert!(limit.reached(1_000, &None), "window count");
+        // On a run: with every window timed, an overdue block runs one
+        // window and hands back.
+        let mut runner = build(3);
+        runner.core.exact = true;
+        let (ran, done) = runner.inline_block(Nanos::from_millis(50), limit);
+        assert_eq!((ran, done), (1, false));
+    }
+
+    #[test]
+    fn chooser_never_threads_without_workers_or_cores() {
+        let mut chooser = BlockChooser::default();
+        chooser.record(Mode::Inline, 1_000, 9_000_000);
+        chooser.record(Mode::Threaded, 1_000, 1_000);
+        assert_eq!(chooser.favourite, Mode::Threaded);
+        for _ in 0..(4 * PROBE_EVERY) {
+            assert_eq!(chooser.next(false), Mode::Inline);
+            chooser.record(Mode::Inline, 1_000, 9_000_000);
+        }
+        assert!(!may_thread(1, 8), "one worker");
+        assert!(!may_thread(0, 8), "no worker");
+        assert!(!may_thread(4, 1), "one core");
+        assert!(may_thread(2, 2));
+        let (_, report) = collect_with(4, |runner, end| runner.run_until(end, 1));
+        assert!(report.windows > 0);
+        assert_eq!(
+            report.inline_windows, report.windows,
+            "threads=1 stays inline"
+        );
+        assert_eq!(report.wait_ns, 0, "no barrier was crossed");
     }
 
     #[test]

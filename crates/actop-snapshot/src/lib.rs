@@ -153,6 +153,25 @@ impl StateCell {
     }
 }
 
+/// The cells a round's sweep captures when its capture window elapses:
+/// every written cell (`version > 0`) the round has not captured yet, as
+/// `(actor, host, cell)` in actor order — the deterministic capture and
+/// trace order. `cells` maps actor to `(host, cell)`, `captured` is the
+/// round's capture set; only the stragglers are sorted, never the whole
+/// cell map.
+pub fn stragglers(
+    cells: &FxHashMap<u64, (u32, StateCell)>,
+    captured: &FxHashMap<u64, (u64, u64)>,
+) -> Vec<(u64, u32, StateCell)> {
+    let mut out: Vec<(u64, u32, StateCell)> = cells
+        .iter()
+        .filter(|&(actor, &(_, cell))| cell.version > 0 && !captured.contains_key(actor))
+        .map(|(&actor, &(host, cell))| (actor, host, cell))
+        .collect();
+    out.sort_unstable_by_key(|&(actor, ..)| actor);
+    out
+}
+
 /// One durable journal entry: the cell contents after a write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalEntry {
@@ -511,5 +530,74 @@ mod tests {
         let plan = store.restore(1).expect("snapshot remains");
         assert_eq!(plan.replayed, 0);
         assert_eq!(plan.version, 1);
+    }
+
+    /// A cell map inserted in scrambled actor order, with never-written
+    /// cells among the written ones, and the actors a round already
+    /// captured lazily (every fifth, written or not).
+    fn sweep_fixture() -> (FxHashMap<u64, (u32, StateCell)>, Vec<u64>) {
+        let mut cells = FxHashMap::default();
+        for i in 0..400u64 {
+            let actor = mix64(i) % 100_000;
+            let mut cell = StateCell::default();
+            for _ in 0..i % 4 {
+                cell.apply_write(actor);
+            }
+            cells.insert(actor, ((i % 7) as u32, cell));
+        }
+        let mut lazy: Vec<u64> = cells.keys().copied().filter(|a| a % 5 == 0).collect();
+        lazy.sort_unstable();
+        (cells, lazy)
+    }
+
+    #[test]
+    fn stragglers_match_the_sort_everything_sweep() {
+        let (cells, lazy) = sweep_fixture();
+        let open = || {
+            let mut round = OpenRound::new(3, Nanos::ZERO, 4);
+            for &a in &lazy {
+                round.capture(a, 1, 0xAB, 100);
+            }
+            round
+        };
+        // The reference: sort every key, skip unwritten cells, capture
+        // whatever the round has not yet.
+        let mut reference = open();
+        let mut keys: Vec<u64> = cells.keys().copied().collect();
+        keys.sort_unstable();
+        let mut want = Vec::new();
+        for actor in keys {
+            let (host, cell) = cells[&actor];
+            if cell.version > 0 && reference.capture(actor, cell.version, cell.value, 100) {
+                want.push((actor, host, cell.version));
+            }
+        }
+        // The sweep as the backends run it.
+        let mut round = open();
+        let swept: Vec<(u64, u32, u64)> = stragglers(&cells, &round.captured)
+            .into_iter()
+            .map(|(actor, host, cell)| {
+                round.capture(actor, cell.version, cell.value, 100);
+                (actor, host, cell.version)
+            })
+            .collect();
+        assert!(!swept.is_empty() && swept.len() < cells.len());
+        assert_eq!(swept, want, "swept list (and the capture spans it emits)");
+        // Same captures in the same insertion order, hence the same map.
+        let order = |r: &OpenRound| r.captured.iter().map(|(&a, &c)| (a, c)).collect::<Vec<_>>();
+        assert_eq!(order(&round), order(&reference), "capture order");
+        assert_eq!(round.bytes, reference.bytes);
+        let captures = round.sorted_captures();
+        assert_eq!(captures, reference.sorted_captures());
+        let (mut a, mut b) = (SnapshotStore::new(), SnapshotStore::new());
+        a.commit(3, &captures);
+        b.commit(3, &reference.sorted_captures());
+        for &actor in cells.keys() {
+            assert_eq!(
+                a.restore(actor),
+                b.restore(actor),
+                "committed actor {actor}"
+            );
+        }
     }
 }
