@@ -8,6 +8,8 @@
 //! | `routing_*` | routing/directory and the communication sketch |
 //! | `pscpu_*` | CPU/SEDA model (processor-sharing CPU) |
 //! | `space_saving_*` | communication sketch |
+//! | `space_saving_retain_actor_16k` | communication sketch (migration drop) |
+//! | `candidate_set_2k_vertices_*` | partition policy (candidate scoring) |
 //! | `histogram_*` | metrics (latency histogram) |
 //! | `select_exchange_*` | partition policy (exchange selection) |
 //! | `allocate_threads_*` | SEDA thread allocator (Theorem 2 solve) |
@@ -15,7 +17,8 @@
 use actop_metrics::LatencyHistogram;
 use actop_partition::score::ScoredVertex;
 use actop_partition::{
-    select_exchange, DenseDirectory, ExchangeRequest, Partition, PartitionConfig,
+    candidate_set, candidate_set_toward, select_exchange, DenseDirectory, ExchangeRequest,
+    Partition, PartitionConfig,
 };
 use actop_runtime::table::SlabTable;
 use actop_seda::allocate_threads;
@@ -522,6 +525,62 @@ fn bench_sketch(c: &mut Criterion) {
     });
 }
 
+/// Layer: communication sketch, the migration path. A server's edge
+/// sketch at the halo-actop shape (capacity 16,384, ~4.2K live `(local,
+/// peer)` entries) drops one migrated actor's ~8 edges; the iteration then
+/// re-offers them so the population stays put.
+fn bench_sketch_retain(c: &mut Criterion) {
+    c.bench_function("space_saving_retain_actor_16k", |b| {
+        const ACTORS: u64 = 525;
+        const EDGES: u64 = 8;
+        let mut rng = DetRng::new(8);
+        let edges: Vec<(u64, u64)> = (0..ACTORS * EDGES)
+            .map(|i| (i / EDGES, rng.below(100_000) as u64))
+            .collect();
+        let mut sketch: SpaceSaving<(u64, u64)> = SpaceSaving::new(16_384);
+        for &edge in &edges {
+            sketch.offer(edge, 1 + edge.1 % 7);
+        }
+        let mut next = 0;
+        b.iter(|| {
+            let actor = next % ACTORS;
+            next += 1;
+            sketch.retain(|&(local, _)| local != actor);
+            let own = (actor * EDGES) as usize..((actor + 1) * EDGES) as usize;
+            for &edge in &edges[own] {
+                sketch.offer(edge, 1 + edge.1 % 7);
+            }
+            black_box(sketch.len())
+        })
+    });
+}
+
+/// Layer: partition policy (candidate scoring). One server's local view at
+/// the halo-actop shape: 2,000 vertices with 8 edges each across 10
+/// servers, `k` = 128. The initiator builds every destination's set; the
+/// responder only its set toward the initiator.
+fn bench_candidate_set(c: &mut Criterion) {
+    const SERVERS: usize = 10;
+    const PEERS: usize = 20_000;
+    let mut rng = DetRng::new(9);
+    let placement: Vec<usize> = (0..PEERS).map(|_| rng.below(SERVERS)).collect();
+    let view: Vec<(u32, Vec<(u32, u64)>)> = (0..2_000)
+        .map(|v| {
+            let edges = (0..8)
+                .map(|_| (rng.below(PEERS) as u32, rng.below(20) as u64 + 1))
+                .collect();
+            (v, edges)
+        })
+        .collect();
+    let locate = |p: &u32| Some(placement[*p as usize]);
+    c.bench_function("candidate_set_2k_vertices_initiator", |b| {
+        b.iter(|| black_box(candidate_set(&view, 0, SERVERS, 128, locate).len()))
+    });
+    c.bench_function("candidate_set_2k_vertices_responder", |b| {
+        b.iter(|| black_box(candidate_set_toward(&view, 3, SERVERS, 128, 0, locate).len()))
+    });
+}
+
 /// Layer: metrics (latency histogram record and quantiles).
 fn bench_hist(c: &mut Criterion) {
     c.bench_function("histogram_record_and_quantile_10k", |b| {
@@ -594,6 +653,8 @@ criterion_group!(
     bench_cpu,
     bench_cpu_steady,
     bench_sketch,
+    bench_sketch_retain,
+    bench_candidate_set,
     bench_hist,
     bench_exchange,
     bench_allocator

@@ -12,7 +12,7 @@ use std::hash::Hash;
 use crate::config::PartitionConfig;
 use crate::exchange::{select_exchange, ExchangeRequest};
 use crate::graph::{CommGraph, Partition};
-use crate::score::{candidate_set, total_score, transfer_scores};
+use crate::score::{candidate_set, candidate_set_toward, total_score, transfer_scores};
 
 /// The per-vertex edge lists of one server, as the protocol consumes them.
 pub fn local_view<V>(
@@ -65,14 +65,14 @@ where
         };
         // Responder builds its own candidates toward the initiator.
         let responder_view = local_view(graph, partition, target);
-        let own = candidate_set(
+        let own = candidate_set_toward(
             &responder_view,
             target,
             servers,
             config.candidate_set_size,
+            initiator,
             |v| partition.server_of(v),
-        )
-        .swap_remove(initiator);
+        );
         let outcome = select_exchange(&request, partition.sizes()[target], &own, config);
         if outcome.is_empty() {
             continue; // Try the next-best target (§4.2 fallback).

@@ -80,7 +80,7 @@ struct Item<V> {
 /// Runs the responder's greedy selection.
 ///
 /// `own_candidates` is the responder's candidate set `T` toward the
-/// initiator (built with [`crate::score::candidate_set`]). Both candidate
+/// initiator (built with [`crate::score::candidate_set_toward`]). Both candidate
 /// sets carry sampled edges; the pairwise weights between candidates drive
 /// the score updates of step 3.
 pub fn select_exchange<V>(

@@ -57,5 +57,5 @@ pub use policy::{
     build_policy, move_penalty, CostSignals, ExchangePolicy, GraphHost, MigrationCostConfig,
     PolicyHost, PolicyScope, RepartitionPolicy, RepartitionPolicyKind,
 };
-pub use score::{candidate_set, retain_above, transfer_scores, ScoredVertex};
+pub use score::{candidate_set, candidate_set_toward, retain_above, transfer_scores, ScoredVertex};
 pub use split::{decide as decide_split, SplitDecision, SplitThresholds};

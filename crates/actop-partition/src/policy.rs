@@ -34,7 +34,7 @@ use actop_sketch::FxHashMap;
 use crate::config::PartitionConfig;
 use crate::exchange::{select_exchange_with_cost, ExchangeRequest};
 use crate::graph::{CommGraph, Partition};
-use crate::score::{candidate_set, retain_above, total_score};
+use crate::score::{candidate_set, candidate_set_toward, retain_above, total_score};
 
 /// Which repartitioning algorithm drives actor placement. Selected via
 /// `RuntimeConfig::repartition` / the `ACTOP_POLICY` environment knob.
@@ -329,14 +329,14 @@ where
                 }
             }
             let responder_view = host.view(target);
-            let own = candidate_set(
+            let own = candidate_set_toward(
                 &responder_view,
                 target,
                 servers,
                 config.candidate_set_size,
+                initiator,
                 |v| host.locate(v),
-            )
-            .swap_remove(initiator);
+            );
             let request = ExchangeRequest {
                 from: initiator,
                 from_size: sizes[initiator],

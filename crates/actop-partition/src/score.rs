@@ -33,17 +33,7 @@ where
     F: FnMut(&V) -> Option<usize>,
 {
     let mut per_server = vec![0i64; servers];
-    let mut local_sum = 0i64;
-    for (peer, w) in edges {
-        let Some(server) = locate(peer) else {
-            continue;
-        };
-        if server == home {
-            local_sum += *w as i64;
-        } else if server < servers {
-            per_server[server] += *w as i64;
-        }
-    }
+    let local_sum = remote_sums(edges, home, &mut per_server, &mut locate);
     for (q, score) in per_server.iter_mut().enumerate() {
         if q == home {
             *score = 0;
@@ -73,6 +63,9 @@ pub struct ScoredVertex<V> {
 /// `vertices` provides, per local vertex, its sampled edge list. Returns
 /// one candidate vector per server, each sorted by descending score with
 /// deterministic tie-breaking on the vertex itself.
+///
+/// Scores go into one reused buffer and each server's set is ranked as
+/// `(score, index)` pairs; only the `k` survivors clone their edges.
 pub fn candidate_set<V, F>(
     vertices: &[(V, Vec<(V, u64)>)],
     home: usize,
@@ -84,25 +77,104 @@ where
     V: Copy + Eq + Hash + Ord,
     F: FnMut(&V) -> Option<usize>,
 {
-    let mut per_server: Vec<Vec<ScoredVertex<V>>> = vec![Vec::new(); servers];
-    for (vertex, edges) in vertices {
-        let scores = transfer_scores(edges, home, servers, &mut locate);
-        for (q, &score) in scores.iter().enumerate() {
-            if q == home || score <= 0 {
-                continue;
+    let mut ranked: Vec<Vec<(i64, usize)>> = vec![Vec::new(); servers];
+    let mut scores = vec![0i64; servers];
+    for (i, (_, edges)) in vertices.iter().enumerate() {
+        scores.fill(0);
+        let local_sum = remote_sums(edges, home, &mut scores, &mut locate);
+        for (q, &remote) in scores.iter().enumerate() {
+            let score = remote - local_sum;
+            if q != home && score > 0 {
+                ranked[q].push((score, i));
             }
-            per_server[q].push(ScoredVertex {
-                vertex: *vertex,
-                score,
-                edges: edges.clone(),
-            });
         }
     }
-    for candidates in &mut per_server {
-        candidates.sort_by(|a, b| b.score.cmp(&a.score).then(a.vertex.cmp(&b.vertex)));
-        candidates.truncate(k);
+    ranked
+        .into_iter()
+        .map(|pairs| top_k(vertices, pairs, k))
+        .collect()
+}
+
+/// The candidate set toward the single server `target`: equal to
+/// `candidate_set(vertices, home, servers, k, locate)[target]` (empty for
+/// `target == home`), without scoring or ranking the other servers. The
+/// responder of an exchange only needs its set toward the initiator.
+///
+/// # Panics
+///
+/// Panics if `target >= servers`.
+pub fn candidate_set_toward<V, F>(
+    vertices: &[(V, Vec<(V, u64)>)],
+    home: usize,
+    servers: usize,
+    k: usize,
+    target: usize,
+    mut locate: F,
+) -> Vec<ScoredVertex<V>>
+where
+    V: Copy + Eq + Hash + Ord,
+    F: FnMut(&V) -> Option<usize>,
+{
+    assert!(target < servers, "target {target} out of {servers} servers");
+    if target == home {
+        return Vec::new();
     }
-    per_server
+    let mut ranked = Vec::new();
+    let mut scores = vec![0i64; servers];
+    for (i, (_, edges)) in vertices.iter().enumerate() {
+        scores.fill(0);
+        let local_sum = remote_sums(edges, home, &mut scores, &mut locate);
+        let score = scores[target] - local_sum;
+        if score > 0 {
+            ranked.push((score, i));
+        }
+    }
+    top_k(vertices, ranked, k)
+}
+
+/// Adds each edge's weight to `per_server[server]` for remote peers and
+/// returns the summed weight of peers on `home` (the [`transfer_scores`]
+/// accumulation, before subtracting the local sum).
+fn remote_sums<V, F>(edges: &[(V, u64)], home: usize, per_server: &mut [i64], locate: &mut F) -> i64
+where
+    F: FnMut(&V) -> Option<usize>,
+{
+    let mut local_sum = 0i64;
+    for (peer, w) in edges {
+        let Some(server) = locate(peer) else {
+            continue;
+        };
+        if server == home {
+            local_sum += *w as i64;
+        } else if server < per_server.len() {
+            per_server[server] += *w as i64;
+        }
+    }
+    local_sum
+}
+
+/// Keeps the `k` best `(score, index)` pairs — score descending, then
+/// vertex, then input position (so duplicates keep a stable order) — and
+/// materializes them with their edges.
+fn top_k<V: Copy + Ord>(
+    vertices: &[(V, Vec<(V, u64)>)],
+    mut ranked: Vec<(i64, usize)>,
+    k: usize,
+) -> Vec<ScoredVertex<V>> {
+    ranked.sort_unstable_by(|a, b| {
+        b.0.cmp(&a.0)
+            .then(vertices[a.1].0.cmp(&vertices[b.1].0))
+            .then(a.1.cmp(&b.1))
+    });
+    ranked.truncate(k);
+    ranked
+        .into_iter()
+        .map(|(score, i)| ScoredVertex {
+            vertex: vertices[i].0,
+            score,
+            edges: vertices[i].1.clone(),
+        })
+        .collect()
 }
 
 /// Total anticipated score of a candidate set — what the initiator uses to

@@ -36,6 +36,27 @@
 //! so replay output is bit-for-bit unchanged; the differential property
 //! test in `tests/space_saving_props.rs` holds the two implementations
 //! together.
+//!
+//! # Dead slots
+//!
+//! A migration drops every edge of one actor, a few slots out of
+//! thousands. [`SpaceSaving::retain`] therefore marks a dropped slot dead
+//! in place (`count == 0`; a live counter is always at least 1) and
+//! removes only its key from the index, instead of rebuilding the whole
+//! index. Every accessor skips dead slots. They are reclaimed by one
+//! order-preserving compaction, which runs when a fresh insert finds the
+//! slot vector at capacity, or when a `retain` leaves more dead slots than
+//! a quarter of the live ones; it rewrites the index only for slots that
+//! moved.
+//!
+//! Exactness: survivors keep their relative slot order and fresh inserts
+//! still append, so the live slots always read exactly as the slots of an
+//! implementation that compacts on every `retain`. Eviction happens only
+//! when every slot is live (`len() == capacity`), so it picks the same
+//! item (smallest count, then smallest slot). The cached minimum stays
+//! valid across `retain`: removal cannot lower the minimum, and a dead
+//! slot never equals the cached `min_count`, which is at least 1 whenever
+//! candidates are queued.
 
 use std::hash::Hash;
 
@@ -80,6 +101,8 @@ pub struct SpaceSaving<T> {
     min_queue: Vec<usize>,
     /// Read position in `min_queue`.
     min_cursor: usize,
+    /// Number of live slots (`count > 0`); `slots.len() - live` are dead.
+    live: usize,
     total_weight: u64,
 }
 
@@ -98,6 +121,7 @@ impl<T: Eq + Hash + Clone> SpaceSaving<T> {
             min_count: 0,
             min_queue: Vec::new(),
             min_cursor: 0,
+            live: 0,
             total_weight: 0,
         }
     }
@@ -109,12 +133,12 @@ impl<T: Eq + Hash + Clone> SpaceSaving<T> {
 
     /// Number of currently monitored items.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.live
     }
 
-    /// True when nothing has been offered yet.
+    /// True when no item is monitored.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.live == 0
     }
 
     /// Total weight offered so far (after any [`SpaceSaving::scale`]).
@@ -151,6 +175,7 @@ impl<T: Eq + Hash + Clone> SpaceSaving<T> {
                 .slots
                 .iter()
                 .map(|e| e.count)
+                .filter(|&c| c != 0)
                 .min()
                 .expect("take_min_slot on empty sketch");
             self.min_count = min;
@@ -183,10 +208,14 @@ impl<T: Eq + Hash + Clone> SpaceSaving<T> {
 
     /// The unmonitored-item path: fill a free slot or evict the minimum.
     fn offer_slow(&mut self, item: T, weight: u64) {
-        if self.slots.len() < self.capacity {
+        if self.live < self.capacity {
+            if self.slots.len() == self.capacity {
+                self.compact();
+            }
             // A fresh slot may undercut the cached minimum; drop the
             // cache rather than splice the new slot into the queue.
             self.invalidate_min();
+            self.live += 1;
             let slot = self.slots.len();
             self.slots.push(SketchEntry {
                 item: item.clone(),
@@ -197,7 +226,8 @@ impl<T: Eq + Hash + Clone> SpaceSaving<T> {
             return;
         }
         // Evict the minimum-count item; the newcomer inherits its count as
-        // overestimation error.
+        // overestimation error. Every slot is live here (`live ==
+        // capacity >= slots.len()`).
         let (min_count, slot) = self.take_min_slot();
         let evicted = std::mem::replace(
             &mut self.slots[slot],
@@ -228,14 +258,14 @@ impl<T: Eq + Hash + Clone> SpaceSaving<T> {
     /// hot-path accessor — `Cluster::partition_view` consumes it and
     /// applies its own actor-order sort.
     pub fn iter_entries(&self) -> impl Iterator<Item = &SketchEntry<T>> {
-        self.slots.iter()
+        self.slots.iter().filter(|e| e.count != 0)
     }
 
     /// All monitored entries, sorted by descending estimated count (ties by
     /// slot order, deterministically). Allocates; prefer
     /// [`SpaceSaving::iter_entries`] on hot paths.
     pub fn entries(&self) -> Vec<SketchEntry<T>> {
-        let mut out: Vec<SketchEntry<T>> = self.slots.clone();
+        let mut out: Vec<SketchEntry<T>> = self.iter_entries().cloned().collect();
         out.sort_by_key(|e| std::cmp::Reverse(e.count));
         out
     }
@@ -254,8 +284,7 @@ impl<T: Eq + Hash + Clone> SpaceSaving<T> {
     /// which is the right test for irreversible decisions like splitting a
     /// hot actor.
     pub fn sustained_heavy_hitters(&self, min_count: u64) -> impl Iterator<Item = &SketchEntry<T>> {
-        self.slots
-            .iter()
+        self.iter_entries()
             .filter(move |e| e.count - e.error >= min_count)
     }
 
@@ -272,23 +301,24 @@ impl<T: Eq + Hash + Clone> SpaceSaving<T> {
             (0.0..=1.0).contains(&factor),
             "scale factor must be in [0,1], got {factor}"
         );
-        let old = std::mem::take(&mut self.slots);
-        self.index.clear();
         self.invalidate_min();
         self.total_weight = (self.total_weight as f64 * factor) as u64;
-        for entry in old {
-            let count = (entry.count as f64 * factor) as u64;
-            if count == 0 {
-                continue;
+        // One order-preserving pass scales the live slots in place and
+        // drops the zeroed and the dead ones, keeping the vector's
+        // allocation. Aging zeroes many slots, so one index rebuild over
+        // the survivors beats a removal per dropped key.
+        self.slots.retain_mut(|entry| {
+            if entry.count == 0 {
+                return false; // Dead.
             }
-            let error = (entry.error as f64 * factor) as u64;
-            let slot = self.slots.len();
+            entry.count = (entry.count as f64 * factor) as u64;
+            entry.error = (entry.error as f64 * factor) as u64;
+            entry.count != 0
+        });
+        self.live = self.slots.len();
+        self.index.clear();
+        for (slot, entry) in self.slots.iter().enumerate() {
             self.index.insert(entry.item.clone(), slot);
-            self.slots.push(SketchEntry {
-                item: entry.item,
-                count,
-                error,
-            });
         }
     }
 
@@ -298,31 +328,69 @@ impl<T: Eq + Hash + Clone> SpaceSaving<T> {
         let Some(slot) = self.index.remove(item) else {
             return;
         };
-        let last = self.slots.len() - 1;
-        if slot != last {
-            // Move the last entry into the vacated slot and fix the index.
-            self.slots.swap(slot, last);
-            self.index.insert(self.slots[slot].item.clone(), slot);
+        // Trailing dead slots go first, so `last` is the last live slot
+        // (at or after `slot`, which is live).
+        while self.slots.last().is_some_and(|e| e.count == 0) {
+            self.slots.pop();
         }
+        let last = self.slots.len() - 1;
+        // Move the last live entry into the vacated slot and fix the index.
+        self.move_slot(last, slot);
         self.slots.pop();
+        self.live -= 1;
         // Queued candidates now point at moved/removed slots.
         self.invalidate_min();
     }
 
     /// Keeps only the entries whose item satisfies the predicate (e.g.
-    /// drop every edge of an actor that migrated away). O(capacity).
+    /// drop every edge of an actor that migrated away). Dropped slots die
+    /// in place and only their keys leave the index: one predicate call
+    /// per slot plus O(dropped) hashing. Compacts once dead slots outnumber
+    /// a quarter of the live ones.
     pub fn retain(&mut self, mut pred: impl FnMut(&T) -> bool) {
-        let old = std::mem::take(&mut self.slots);
-        self.index.clear();
-        self.invalidate_min();
-        for entry in old {
-            if !pred(&entry.item) {
-                continue;
+        let mut dropped = 0;
+        for entry in &mut self.slots {
+            if entry.count != 0 && !pred(&entry.item) {
+                entry.count = 0;
+                self.index.remove(&entry.item);
+                dropped += 1;
             }
-            let slot = self.slots.len();
-            self.index.insert(entry.item.clone(), slot);
-            self.slots.push(entry);
         }
+        self.live -= dropped;
+        // Compacting at a quarter keeps the next scans short: every
+        // `retain` reads every slot, dead ones included.
+        if 4 * (self.slots.len() - self.live) > self.live {
+            self.compact();
+        }
+    }
+
+    /// Moves the live entry at slot `from` to slot `to` (swapping whatever
+    /// was there to `from`) and repoints its index entry. No-op when the
+    /// two coincide.
+    #[inline]
+    fn move_slot(&mut self, from: usize, to: usize) {
+        if from != to {
+            self.slots.swap(from, to);
+            *self
+                .index
+                .get_mut(&self.slots[to].item)
+                .expect("live slot is indexed") = to;
+        }
+    }
+
+    /// Drops every dead slot, keeping the live ones in order. Only slots
+    /// that move have their index entry rewritten.
+    fn compact(&mut self) {
+        let mut write = 0;
+        for read in 0..self.slots.len() {
+            if self.slots[read].count != 0 {
+                self.move_slot(read, write);
+                write += 1;
+            }
+        }
+        self.slots.truncate(write);
+        // Queued min candidates pointed at pre-compaction slots.
+        self.invalidate_min();
     }
 
     /// Drops all state.
@@ -330,6 +398,7 @@ impl<T: Eq + Hash + Clone> SpaceSaving<T> {
         self.slots.clear();
         self.index.clear();
         self.invalidate_min();
+        self.live = 0;
         self.total_weight = 0;
     }
 }

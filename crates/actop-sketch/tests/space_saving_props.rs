@@ -1,6 +1,7 @@
-//! Property tests for the Space-Saving sketch guarantees, plus a
-//! differential test holding the lazy-min implementation bit-for-bit equal
-//! to the original `BTreeSet<(count, slot)>` implementation it replaced.
+//! Property tests for the Space-Saving sketch guarantees, plus differential
+//! tests holding the lazy-min, dead-slot implementation bit-for-bit equal
+//! to the original `BTreeSet<(count, slot)>` implementation it replaced,
+//! which compacts its slots on every `retain`, `remove` and `scale`.
 
 use std::collections::HashMap;
 
@@ -140,6 +141,16 @@ mod reference {
             }
         }
 
+        pub fn len(&self) -> usize {
+            self.slots.len()
+        }
+
+        pub fn estimate(&self, item: &T) -> Option<(u64, u64)> {
+            self.index
+                .get(item)
+                .map(|&slot| (self.slots[slot].count, self.slots[slot].error))
+        }
+
         /// Entries in slot order (mirrors `SpaceSaving::iter_entries`).
         pub fn slot_entries(&self) -> Vec<(T, u64, u64)> {
             self.slots
@@ -168,6 +179,72 @@ fn arb_op() -> impl Strategy<Value = Op> {
         9 => Op::RetainAbove(item),
         _ => Op::Scale,
     })
+}
+
+/// One step of a migration-shaped workload over `(local, peer)` edge
+/// items, the key type of the runtime's per-server edge sketch.
+#[derive(Debug, Clone)]
+enum PairOp {
+    Offer((u8, u8), u8),
+    Remove((u8, u8)),
+    /// Drop every `(a, _)` edge: actor `a` migrated away.
+    RetainLocal(u8),
+    Scale,
+}
+
+/// Offers dominate; migrations (`RetainLocal`) are frequent enough that
+/// evictions regularly follow retains and compactions at small capacities.
+fn arb_pair_op() -> impl Strategy<Value = PairOp> {
+    (0u8..16, 0u8..6, 0u8..6, 0u8..5).prop_map(|(kind, a, b, w)| match kind {
+        0..=10 => PairOp::Offer((a, b), w),
+        11 => PairOp::Remove((a, b)),
+        12..=14 => PairOp::RetainLocal(a),
+        _ => PairOp::Scale,
+    })
+}
+
+/// Asserts that every observable of `new` equals the reference's: slot
+/// order, size, per-item estimates over `universe`, the sorted entry list,
+/// the sustained heavy hitters, and the total weight.
+fn assert_same<T>(
+    new: &SpaceSaving<T>,
+    old: &reference::SpaceSaving<T>,
+    universe: &[T],
+    step: &dyn std::fmt::Debug,
+) where
+    T: Eq + std::hash::Hash + Clone + std::fmt::Debug,
+{
+    let old_slots = old.slot_entries();
+    let new_slots: Vec<(T, u64, u64)> = new
+        .iter_entries()
+        .map(|e| (e.item.clone(), e.count, e.error))
+        .collect();
+    prop_assert_eq!(&new_slots, &old_slots, "slots after {:?}", step);
+    prop_assert_eq!(new.len(), old.len(), "len after {:?}", step);
+    prop_assert_eq!(new.is_empty(), old.len() == 0, "is_empty after {:?}", step);
+    for item in universe {
+        prop_assert_eq!(
+            new.estimate(item),
+            old.estimate(item),
+            "estimate of {:?} after {:?}",
+            item,
+            step
+        );
+    }
+    let mut old_sorted = old_slots.clone();
+    old_sorted.sort_by_key(|e| std::cmp::Reverse(e.1));
+    let new_sorted: Vec<(T, u64, u64)> = new
+        .entries()
+        .into_iter()
+        .map(|e| (e.item, e.count, e.error))
+        .collect();
+    prop_assert_eq!(&new_sorted, &old_sorted, "entries() after {:?}", step);
+    let sustained: Vec<(T, u64, u64)> = new
+        .sustained_heavy_hitters(0)
+        .map(|e| (e.item.clone(), e.count, e.error))
+        .collect();
+    prop_assert_eq!(&sustained, &old_slots, "sustained(0) after {:?}", step);
+    prop_assert_eq!(new.total_weight(), old.total_weight());
 }
 
 /// Replays a stream into both the sketch and an exact counter.
@@ -256,6 +333,7 @@ proptest! {
         capacity in 1usize..12,
         ops in proptest::collection::vec(arb_op(), 0..400),
     ) {
+        let universe: Vec<u8> = (0..30).collect();
         let mut new = SpaceSaving::new(capacity);
         let mut old = reference::SpaceSaving::new(capacity);
         for op in &ops {
@@ -277,12 +355,44 @@ proptest! {
                     old.scale(0.5);
                 }
             }
-            let new_slots: Vec<(u8, u64, u64)> = new
-                .iter_entries()
-                .map(|e| (e.item, e.count, e.error))
-                .collect();
-            prop_assert_eq!(&new_slots, &old.slot_entries(), "after {:?}", op);
-            prop_assert_eq!(new.total_weight(), old.total_weight());
+            assert_same(&new, &old, &universe, op);
+        }
+    }
+
+    /// Differential over the migration shape: pair-keyed edges, whole
+    /// actors dropped by `retain`, and capacities small enough that
+    /// evictions run right after retains, dead-slot compactions, removals
+    /// and scaling. Every observable must match the compacting reference
+    /// after every step.
+    #[test]
+    fn dead_slots_match_compacting_reference(
+        capacity in 1usize..16,
+        ops in proptest::collection::vec(arb_pair_op(), 0..400),
+    ) {
+        let universe: Vec<(u8, u8)> =
+            (0..6).flat_map(|a| (0..6).map(move |b| (a, b))).collect();
+        let mut new = SpaceSaving::new(capacity);
+        let mut old = reference::SpaceSaving::new(capacity);
+        for op in &ops {
+            match *op {
+                PairOp::Offer(item, w) => {
+                    new.offer(item, w as u64);
+                    old.offer(item, w as u64);
+                }
+                PairOp::Remove(item) => {
+                    new.remove(&item);
+                    old.remove(&item);
+                }
+                PairOp::RetainLocal(a) => {
+                    new.retain(|&(local, _)| local != a);
+                    old.retain(|&(local, _)| local != a);
+                }
+                PairOp::Scale => {
+                    new.scale(0.5);
+                    old.scale(0.5);
+                }
+            }
+            assert_same(&new, &old, &universe, op);
         }
     }
 
