@@ -9,20 +9,19 @@
 use actop_core::controllers::{
     install_actop, install_actop_sharded, ActOpConfig, PartitionAgentConfig, ThreadAgentConfig,
 };
-use actop_core::experiment::{run_steady_state, RunSummary};
+use actop_core::experiment::{run_sharded_steady_state, run_steady_state, RunSummary};
 use actop_obs::{exposition, FaultNote, ScrapeWriter};
 use actop_partition::{MigrationCostConfig, RepartitionPolicyKind, SplitThresholds};
 use actop_runtime::sharded::install_sharded_hooks;
 use actop_runtime::{
     build_sharded, install_replication_sharded, install_sharded_scrapers,
-    install_snapshots_sharded, sharded_lookahead, Cluster, ObsConfig, Observability,
-    ReplicationConfig, RuntimeConfig, SnapshotConfig, TraceConfig,
+    install_snapshots_sharded, sharded_lookahead, Cluster, ObsConfig, ReplicationConfig,
+    RuntimeConfig, SnapshotConfig, TraceConfig,
 };
 use actop_sim::{ConservativeRunner, Engine, EngineReport, Nanos};
 use actop_workloads::halo::HaloConfig;
 use actop_workloads::{
-    HaloWorkload, MemoryAudit, ScaleConfig, ScaleWorkload, ShardedHaloWorkload,
-    ShardedScaleWorkload,
+    HaloWorkload, MemoryAudit, ScaleConfig, ShardedHaloWorkload, ShardedScaleWorkload,
 };
 
 /// Scale knobs for a Halo scenario run.
@@ -393,32 +392,7 @@ pub fn obs_document(
     for n in obs.slo_notes() {
         w.slo(&n);
     }
-    w.summary(&[
-        ("p50_ms", summary.p50_ms),
-        ("p95_ms", summary.p95_ms),
-        ("p99_ms", summary.p99_ms),
-        ("mean_ms", summary.mean_ms),
-        ("remote_fraction", summary.remote_fraction),
-        ("cpu_utilization", summary.cpu_utilization),
-        ("completed", summary.completed as f64),
-        ("submitted", summary.submitted as f64),
-        ("rejected", summary.rejected as f64),
-        ("timed_out", summary.timed_out as f64),
-        ("forwarded_messages", summary.forwarded_messages as f64),
-        ("stale_responses", summary.stale_responses as f64),
-        ("migrations", summary.migrations as f64),
-        ("throughput_per_s", summary.throughput_per_s),
-        ("retries", summary.retries as f64),
-        ("retry_backoff_ms", summary.retry_backoff_ms),
-        ("directory_repairs", summary.directory_repairs as f64),
-        (
-            "false_suspicion_repairs",
-            summary.false_suspicion_repairs as f64,
-        ),
-        ("shed_no_live", summary.shed_no_live as f64),
-        ("slo_alerts_opened", summary.slo_alerts_opened as f64),
-        ("slo_alerts_closed", summary.slo_alerts_closed as f64),
-    ]);
+    w.summary(&summary.fields());
     // Only deterministic engine quantities belong in the artifact; wall
     // times and sampled costs are machine-dependent and stay on stdout.
     w.engine(&[("events_processed", report.events_processed as f64)]);
@@ -530,77 +504,13 @@ pub fn run_halo_sharded(
     install_sharded_scrapers(&mut runner, scenario.duration());
     install_snapshots_sharded(&mut runner, scenario.duration());
 
-    runner.run_until(scenario.warmup, threads);
-    for cell in runner.cells_mut() {
-        cell.world.reset_steady_state();
-    }
-    let start = scenario.warmup;
-    let end = scenario.duration();
-    runner.run_until(end, threads);
-
-    // Merge the per-shard measurements into a shell cluster so callers can
-    // inspect them exactly as they would a legacy run's.
-    let mut shell = Cluster::new(
+    let (summary, shell) = run_sharded_steady_state(
+        &mut runner,
         halo_runtime(scenario),
-        HaloWorkload::build(halo_config(scenario)).0,
+        threads,
+        scenario.warmup,
+        scenario.measure,
     );
-    for cell in runner.cells() {
-        shell.metrics.merge_from(cell.world.metrics());
-        shell.trace.merge_from(cell.world.trace());
-    }
-    shell.directory = runner.cells()[0].world.directory_snapshot();
-
-    // Per-server utilizations reduced in global server order, so the
-    // cluster mean is bit-identical across shard splits (a float sum in
-    // shard order would differ in the last ulp).
-    let mut per_server_util = vec![0.0f64; scenario.servers];
-    for cell in runner.cells() {
-        for (server, util) in cell.world.utilizations(start, end) {
-            per_server_util[server] = util;
-        }
-    }
-    let util_sum: f64 = per_server_util.iter().sum();
-
-    // Merge the per-shard telemetry registries and evaluate the SLOs once
-    // over the merged series — bin-aligned alert timestamps make this
-    // byte-identical to the legacy engine's online alerting.
-    let mut merged_obs: Option<Observability> = None;
-    for cell in runner.cells_mut() {
-        if let Some(obs) = cell.world.take_obs() {
-            match merged_obs.as_mut() {
-                Some(m) => m.merge_from(&obs),
-                None => merged_obs = Some(obs),
-            }
-        }
-    }
-    if let Some(obs) = merged_obs {
-        shell.adopt_merged_obs(obs, end);
-    }
-    let hist = &shell.metrics.e2e_latency;
-    let quantiles = hist.summary();
-    let summary = RunSummary {
-        p50_ms: quantiles.p50 as f64 / 1e6,
-        p95_ms: quantiles.p95 as f64 / 1e6,
-        p99_ms: quantiles.p99 as f64 / 1e6,
-        mean_ms: hist.mean() / 1e6,
-        remote_fraction: shell.metrics.remote_fraction(),
-        cpu_utilization: util_sum / scenario.servers as f64,
-        completed: shell.metrics.completed,
-        submitted: shell.metrics.submitted,
-        rejected: shell.metrics.rejected,
-        timed_out: shell.metrics.timed_out,
-        forwarded_messages: shell.metrics.forwarded_messages,
-        stale_responses: shell.metrics.stale_responses,
-        migrations: shell.metrics.migrations,
-        throughput_per_s: shell.metrics.completed as f64 / scenario.measure.as_secs_f64().max(1e-9),
-        retries: shell.metrics.retries,
-        retry_backoff_ms: shell.metrics.retry_backoff_ns as f64 / 1e6,
-        directory_repairs: shell.metrics.directory_repairs,
-        false_suspicion_repairs: shell.metrics.false_suspicion_repairs,
-        shed_no_live: shell.metrics.shed_no_live,
-        slo_alerts_opened: shell.metrics.slo_alerts_opened,
-        slo_alerts_closed: shell.metrics.slo_alerts_closed,
-    };
     let report = runner.report();
     maybe_export_trace(&shell);
     maybe_export_obs(&shell, &summary, &report, &[]);
@@ -669,7 +579,6 @@ pub fn run_scale(
 ) -> (RunSummary, EngineReport, Cluster, MemoryAudit) {
     assert!(warmup < cfg.duration, "warmup must leave a measure window");
     let measure = cfg.duration - warmup;
-    let servers = rt.servers;
     let lookahead = sharded_lookahead(&rt);
     let shell_rt = rt.clone();
     let (app, workload) = ShardedScaleWorkload::build(cfg);
@@ -682,72 +591,9 @@ pub fn run_scale(
     install_sharded_scrapers(&mut runner, cfg.duration);
     install_snapshots_sharded(&mut runner, cfg.duration);
 
-    runner.run_until(warmup, threads);
-    for cell in runner.cells_mut() {
-        cell.world.reset_steady_state();
-    }
-    let end = cfg.duration;
-    runner.run_until(end, threads);
+    let (summary, shell) =
+        run_sharded_steady_state(&mut runner, shell_rt, threads, warmup, measure);
     let audit = workload.memory_audit();
-
-    // Merge per-shard measurements into a shell cluster, as
-    // [`run_halo_sharded`] does (the shell's app never runs, so it gets a
-    // one-player slab instead of another full-population one).
-    let mut shell_cfg = cfg;
-    shell_cfg.players = 1;
-    shell_cfg.shape = actop_workloads::TrafficShape::Uniform;
-    let mut shell = Cluster::new(shell_rt, ScaleWorkload::build(shell_cfg).0);
-    for cell in runner.cells() {
-        shell.metrics.merge_from(cell.world.metrics());
-        shell.trace.merge_from(cell.world.trace());
-    }
-    shell.directory = runner.cells()[0].world.directory_snapshot();
-
-    let mut per_server_util = vec![0.0f64; servers];
-    for cell in runner.cells() {
-        for (server, util) in cell.world.utilizations(warmup, end) {
-            per_server_util[server] = util;
-        }
-    }
-    let util_sum: f64 = per_server_util.iter().sum();
-
-    let mut merged_obs: Option<Observability> = None;
-    for cell in runner.cells_mut() {
-        if let Some(obs) = cell.world.take_obs() {
-            match merged_obs.as_mut() {
-                Some(m) => m.merge_from(&obs),
-                None => merged_obs = Some(obs),
-            }
-        }
-    }
-    if let Some(obs) = merged_obs {
-        shell.adopt_merged_obs(obs, end);
-    }
-    let hist = &shell.metrics.e2e_latency;
-    let quantiles = hist.summary();
-    let summary = RunSummary {
-        p50_ms: quantiles.p50 as f64 / 1e6,
-        p95_ms: quantiles.p95 as f64 / 1e6,
-        p99_ms: quantiles.p99 as f64 / 1e6,
-        mean_ms: hist.mean() / 1e6,
-        remote_fraction: shell.metrics.remote_fraction(),
-        cpu_utilization: util_sum / servers as f64,
-        completed: shell.metrics.completed,
-        submitted: shell.metrics.submitted,
-        rejected: shell.metrics.rejected,
-        timed_out: shell.metrics.timed_out,
-        forwarded_messages: shell.metrics.forwarded_messages,
-        stale_responses: shell.metrics.stale_responses,
-        migrations: shell.metrics.migrations,
-        throughput_per_s: shell.metrics.completed as f64 / measure.as_secs_f64().max(1e-9),
-        retries: shell.metrics.retries,
-        retry_backoff_ms: shell.metrics.retry_backoff_ns as f64 / 1e6,
-        directory_repairs: shell.metrics.directory_repairs,
-        false_suspicion_repairs: shell.metrics.false_suspicion_repairs,
-        shed_no_live: shell.metrics.shed_no_live,
-        slo_alerts_opened: shell.metrics.slo_alerts_opened,
-        slo_alerts_closed: shell.metrics.slo_alerts_closed,
-    };
     let report = runner.report();
     maybe_export_trace(&shell);
     maybe_export_obs(&shell, &summary, &report, &[]);

@@ -9,38 +9,12 @@
 //!
 //! [`GraphHost`]: actop_partition::GraphHost
 
+mod common;
+
 use actop_bench::{run_halo_sharded, HaloScenario};
-use actop_core::RunSummary;
 use actop_partition::RepartitionPolicyKind;
 use actop_sim::Nanos;
-
-/// Every `RunSummary` field as exact bits, so float equality is checked
-/// bit-for-bit rather than within an epsilon.
-fn summary_bits(s: &RunSummary) -> Vec<u64> {
-    vec![
-        s.p50_ms.to_bits(),
-        s.p95_ms.to_bits(),
-        s.p99_ms.to_bits(),
-        s.mean_ms.to_bits(),
-        s.remote_fraction.to_bits(),
-        s.cpu_utilization.to_bits(),
-        s.completed,
-        s.submitted,
-        s.rejected,
-        s.timed_out,
-        s.forwarded_messages,
-        s.stale_responses,
-        s.migrations,
-        s.throughput_per_s.to_bits(),
-        s.retries,
-        s.retry_backoff_ms.to_bits(),
-        s.directory_repairs,
-        s.false_suspicion_repairs,
-        s.shed_no_live,
-        s.slo_alerts_opened,
-        s.slo_alerts_closed,
-    ]
-}
+use common::summary_bits;
 
 #[test]
 fn every_policy_is_shard_count_invariant() {

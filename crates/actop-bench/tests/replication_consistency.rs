@@ -10,6 +10,8 @@
 //! one — so the population sits at 250K players, the smallest sweep point
 //! whose top celebrity (~30% of one server) clears the 20% split trigger.
 
+mod common;
+
 use actop_bench::{run_scale, scale_runtime};
 use actop_core::experiment::run_steady_state;
 use actop_core::RunSummary;
@@ -17,36 +19,9 @@ use actop_runtime::{Cluster, ClusterMetrics, TraceConfig};
 use actop_sim::{Engine, Nanos};
 use actop_verify::{check_events, CheckerConfig};
 use actop_workloads::{ScaleConfig, ScaleWorkload};
+use common::summary_bits;
 
 const PLAYERS: u64 = 250_000;
-
-/// Every `RunSummary` field as exact bits, so float equality is checked
-/// bit-for-bit rather than within an epsilon.
-fn summary_bits(s: &RunSummary) -> Vec<u64> {
-    vec![
-        s.p50_ms.to_bits(),
-        s.p95_ms.to_bits(),
-        s.p99_ms.to_bits(),
-        s.mean_ms.to_bits(),
-        s.remote_fraction.to_bits(),
-        s.cpu_utilization.to_bits(),
-        s.completed,
-        s.submitted,
-        s.rejected,
-        s.timed_out,
-        s.forwarded_messages,
-        s.stale_responses,
-        s.migrations,
-        s.throughput_per_s.to_bits(),
-        s.retries,
-        s.retry_backoff_ms.to_bits(),
-        s.directory_repairs,
-        s.false_suspicion_repairs,
-        s.shed_no_live,
-        s.slo_alerts_opened,
-        s.slo_alerts_closed,
-    ]
-}
 
 /// The replication-specific counters a divergence would hide in even when
 /// the latency summary happens to agree.

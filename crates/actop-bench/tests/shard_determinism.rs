@@ -13,8 +13,9 @@
 //!   tracing on and compare merged metrics *and* the [`TraceDigest`]
 //!   fingerprint of every recorded span.
 
+mod common;
+
 use actop_bench::{run_halo_sharded, HaloScenario};
-use actop_core::RunSummary;
 use actop_runtime::sharded::{
     build_sharded, fail_server_sharded, install_sharded_hooks, recover_server_sharded,
     sharded_lookahead,
@@ -24,35 +25,8 @@ use actop_sim::{ConservativeRunner, Nanos};
 use actop_verify::{diff_digests, TraceDigest};
 use actop_workloads::halo::HaloConfig;
 use actop_workloads::ShardedHaloWorkload;
+use common::summary_bits;
 use proptest::prelude::*;
-
-/// Every `RunSummary` field as exact bits, so float equality is checked
-/// bit-for-bit rather than within an epsilon.
-fn summary_bits(s: &RunSummary) -> Vec<u64> {
-    vec![
-        s.p50_ms.to_bits(),
-        s.p95_ms.to_bits(),
-        s.p99_ms.to_bits(),
-        s.mean_ms.to_bits(),
-        s.remote_fraction.to_bits(),
-        s.cpu_utilization.to_bits(),
-        s.completed,
-        s.submitted,
-        s.rejected,
-        s.timed_out,
-        s.forwarded_messages,
-        s.stale_responses,
-        s.migrations,
-        s.throughput_per_s.to_bits(),
-        s.retries,
-        s.retry_backoff_ms.to_bits(),
-        s.directory_repairs,
-        s.false_suspicion_repairs,
-        s.shed_no_live,
-        s.slo_alerts_opened,
-        s.slo_alerts_closed,
-    ]
-}
 
 #[test]
 fn run_halo_sharded_summary_is_shard_count_invariant() {
@@ -153,18 +127,9 @@ fn assert_same(base: &Outcome, other: &Outcome, label: &str) {
         panic!("trace digest diverged at {label}: {diff}");
     }
     let (a, b) = (&base.metrics, &other.metrics);
-    assert_eq!(a.completed, b.completed, "{label}");
-    assert_eq!(a.submitted, b.submitted, "{label}");
-    assert_eq!(a.rejected, b.rejected, "{label}");
-    assert_eq!(a.remote_messages, b.remote_messages, "{label}");
-    assert_eq!(a.local_messages, b.local_messages, "{label}");
-    assert_eq!(a.forwarded_messages, b.forwarded_messages, "{label}");
-    assert_eq!(a.stale_responses, b.stale_responses, "{label}");
-    assert_eq!(a.migrations, b.migrations, "{label}");
-    assert_eq!(a.retries, b.retries, "{label}");
-    assert_eq!(a.retry_backoff_ns, b.retry_backoff_ns, "{label}");
-    assert_eq!(a.lost_in_flight, b.lost_in_flight, "{label}");
-    assert_eq!(a.shed_no_live, b.shed_no_live, "{label}");
+    for c in ClusterMetrics::COUNTERS {
+        assert_eq!((c.read)(a), (c.read)(b), "{} at {label}", c.name);
+    }
     assert_eq!(a.e2e_latency.summary(), b.e2e_latency.summary(), "{label}");
     assert_eq!(
         a.e2e_latency.mean().to_bits(),

@@ -5,8 +5,9 @@
 //! counters, CPU utilization, and throughput are reported for the
 //! measurement window only.
 
-use actop_runtime::Cluster;
-use actop_sim::{Engine, Nanos};
+use actop_runtime::app::FixedCostApp;
+use actop_runtime::{Cluster, ClusterMetrics, Observability, RuntimeConfig, ShardedCluster};
+use actop_sim::{ConservativeRunner, Engine, Nanos};
 
 /// Steady-state measurements over one run window.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,6 +63,68 @@ pub struct RunSummary {
 }
 
 impl RunSummary {
+    /// Summarizes one measurement window of `measure` from its metrics
+    /// (reset at the window's start) and the servers' mean CPU
+    /// utilization over it.
+    pub fn from_window(metrics: &ClusterMetrics, cpu_utilization: f64, measure: Nanos) -> Self {
+        let hist = &metrics.e2e_latency;
+        let quantiles = hist.summary();
+        RunSummary {
+            p50_ms: quantiles.p50 as f64 / 1e6,
+            p95_ms: quantiles.p95 as f64 / 1e6,
+            p99_ms: quantiles.p99 as f64 / 1e6,
+            mean_ms: hist.mean() / 1e6,
+            remote_fraction: metrics.remote_fraction(),
+            cpu_utilization,
+            completed: metrics.completed,
+            submitted: metrics.submitted,
+            rejected: metrics.rejected,
+            timed_out: metrics.timed_out,
+            forwarded_messages: metrics.forwarded_messages,
+            stale_responses: metrics.stale_responses,
+            migrations: metrics.migrations,
+            throughput_per_s: metrics.completed as f64 / measure.as_secs_f64().max(1e-9),
+            retries: metrics.retries,
+            retry_backoff_ms: metrics.retry_backoff_ns as f64 / 1e6,
+            directory_repairs: metrics.directory_repairs,
+            false_suspicion_repairs: metrics.false_suspicion_repairs,
+            shed_no_live: metrics.shed_no_live,
+            slo_alerts_opened: metrics.slo_alerts_opened,
+            slo_alerts_closed: metrics.slo_alerts_closed,
+        }
+    }
+
+    /// Every field by name, counts widened to `f64` (exact: every count
+    /// is far below 2^53), in declaration order.
+    pub fn fields(&self) -> [(&'static str, f64); 21] {
+        [
+            ("p50_ms", self.p50_ms),
+            ("p95_ms", self.p95_ms),
+            ("p99_ms", self.p99_ms),
+            ("mean_ms", self.mean_ms),
+            ("remote_fraction", self.remote_fraction),
+            ("cpu_utilization", self.cpu_utilization),
+            ("completed", self.completed as f64),
+            ("submitted", self.submitted as f64),
+            ("rejected", self.rejected as f64),
+            ("timed_out", self.timed_out as f64),
+            ("forwarded_messages", self.forwarded_messages as f64),
+            ("stale_responses", self.stale_responses as f64),
+            ("migrations", self.migrations as f64),
+            ("throughput_per_s", self.throughput_per_s),
+            ("retries", self.retries as f64),
+            ("retry_backoff_ms", self.retry_backoff_ms),
+            ("directory_repairs", self.directory_repairs as f64),
+            (
+                "false_suspicion_repairs",
+                self.false_suspicion_repairs as f64,
+            ),
+            ("shed_no_live", self.shed_no_live as f64),
+            ("slo_alerts_opened", self.slo_alerts_opened as f64),
+            ("slo_alerts_closed", self.slo_alerts_closed as f64),
+        ]
+    }
+
     /// The paper's improvement metric `100 * (1 - optimized/baseline)` for
     /// a latency field selected by `f`.
     pub fn improvement_pct(
@@ -99,31 +162,76 @@ pub fn run_steady_state(
     // telemetry).
     cluster.finalize_obs(now);
 
-    let hist = &cluster.metrics.e2e_latency;
-    let summary = hist.summary();
-    RunSummary {
-        p50_ms: summary.p50 as f64 / 1e6,
-        p95_ms: summary.p95 as f64 / 1e6,
-        p99_ms: summary.p99 as f64 / 1e6,
-        mean_ms: hist.mean() / 1e6,
-        remote_fraction: cluster.metrics.remote_fraction(),
-        cpu_utilization: cluster.mean_utilization(&snapshots, start, now),
-        completed: cluster.metrics.completed,
-        submitted: cluster.metrics.submitted,
-        rejected: cluster.metrics.rejected,
-        timed_out: cluster.metrics.timed_out,
-        forwarded_messages: cluster.metrics.forwarded_messages,
-        stale_responses: cluster.metrics.stale_responses,
-        migrations: cluster.metrics.migrations,
-        throughput_per_s: cluster.metrics.completed as f64 / measure.as_secs_f64().max(1e-9),
-        retries: cluster.metrics.retries,
-        retry_backoff_ms: cluster.metrics.retry_backoff_ns as f64 / 1e6,
-        directory_repairs: cluster.metrics.directory_repairs,
-        false_suspicion_repairs: cluster.metrics.false_suspicion_repairs,
-        shed_no_live: cluster.metrics.shed_no_live,
-        slo_alerts_opened: cluster.metrics.slo_alerts_opened,
-        slo_alerts_closed: cluster.metrics.slo_alerts_closed,
+    let cpu = cluster.mean_utilization(&snapshots, start, now);
+    RunSummary::from_window(&cluster.metrics, cpu, measure)
+}
+
+/// [`run_steady_state`] for the sharded conservative-parallel backend:
+/// runs `runner` for `warmup` (relative to its clock), resets every
+/// shard's steady-state counters, runs for `measure` more on `threads`
+/// worker threads, and summarizes the measurement window.
+///
+/// The per-shard metrics and traces merge into a returned shell
+/// [`Cluster`] built from `config`, so callers inspect them exactly as
+/// they would a legacy run's. The shell carries a snapshot of the shared
+/// directory and the merged telemetry registry with its SLOs evaluated,
+/// but its servers never ran and its application is a placeholder.
+pub fn run_sharded_steady_state(
+    runner: &mut ConservativeRunner<ShardedCluster>,
+    config: RuntimeConfig,
+    threads: usize,
+    warmup: Nanos,
+    measure: Nanos,
+) -> (RunSummary, Cluster) {
+    let start = runner.now() + warmup;
+    runner.run_until(start, threads);
+    for cell in runner.cells_mut() {
+        cell.world.reset_steady_state();
     }
+    let end = start + measure;
+    runner.run_until(end, threads);
+
+    let mut shell = Cluster::new(
+        config,
+        Box::new(FixedCostApp {
+            cpu_ns: 0.0,
+            reply_bytes: 0,
+        }),
+    );
+    for cell in runner.cells() {
+        shell.metrics.merge_from(cell.world.metrics());
+        shell.trace.merge_from(cell.world.trace());
+    }
+    shell.directory = runner.cells()[0].world.directory_snapshot();
+
+    // Per-server utilizations reduced in global server order, so the
+    // cluster mean is bit-identical across shard splits (a float sum in
+    // shard order would differ in the last ulp).
+    let servers = shell.server_count();
+    let mut per_server_util = vec![0.0f64; servers];
+    for cell in runner.cells() {
+        for (server, util) in cell.world.utilizations(start, end) {
+            per_server_util[server] = util;
+        }
+    }
+    let cpu = per_server_util.iter().sum::<f64>() / servers as f64;
+
+    // Merge the per-shard telemetry registries and evaluate the SLOs once
+    // over the merged series — bin-aligned alert timestamps make this
+    // byte-identical to the legacy engine's online alerting.
+    let mut merged_obs: Option<Observability> = None;
+    for cell in runner.cells_mut() {
+        if let Some(obs) = cell.world.take_obs() {
+            match merged_obs.as_mut() {
+                Some(m) => m.merge_from(&obs),
+                None => merged_obs = Some(obs),
+            }
+        }
+    }
+    if let Some(obs) = merged_obs {
+        shell.adopt_merged_obs(obs, end);
+    }
+    (RunSummary::from_window(&shell.metrics, cpu, measure), shell)
 }
 
 #[cfg(test)]
@@ -155,29 +263,9 @@ mod tests {
 
     #[test]
     fn improvement_metric() {
-        let mut a = RunSummary {
-            p50_ms: 41.0,
-            p95_ms: 450.0,
-            p99_ms: 736.0,
-            mean_ms: 60.0,
-            remote_fraction: 0.9,
-            cpu_utilization: 0.8,
-            completed: 0,
-            submitted: 0,
-            rejected: 0,
-            timed_out: 0,
-            forwarded_messages: 0,
-            stale_responses: 0,
-            migrations: 0,
-            throughput_per_s: 0.0,
-            retries: 0,
-            retry_backoff_ms: 0.0,
-            directory_repairs: 0,
-            false_suspicion_repairs: 0,
-            shed_no_live: 0,
-            slo_alerts_opened: 0,
-            slo_alerts_closed: 0,
-        };
+        let mut a = RunSummary::from_window(&ClusterMetrics::new(1_000), 0.8, Nanos::from_secs(1));
+        a.p50_ms = 41.0;
+        a.p99_ms = 736.0;
         let b = RunSummary {
             p50_ms: 24.0,
             p99_ms: 225.0,

@@ -24,4 +24,4 @@ pub mod experiment;
 pub use actop_sketch::fxmap;
 
 pub use controllers::{install_actop, ActOpConfig, PartitionAgentConfig, ThreadAgentConfig};
-pub use experiment::{run_steady_state, RunSummary};
+pub use experiment::{run_sharded_steady_state, run_steady_state, RunSummary};

@@ -69,63 +69,6 @@ struct CounterMirror {
     acc: u64,
 }
 
-/// A counter family name paired with its `ClusterMetrics` reader.
-type CounterSource = (&'static str, fn(&ClusterMetrics) -> u64);
-
-/// The mirrored counters, in registration (and therefore wire) order.
-const COUNTERS: &[CounterSource] = &[
-    ("requests_submitted_total", |m| m.submitted),
-    ("requests_completed_total", |m| m.completed),
-    ("requests_rejected_total", |m| m.rejected),
-    ("requests_timed_out_total", |m| m.timed_out),
-    ("requests_shed_no_live_total", |m| m.shed_no_live),
-    ("responses_stale_total", |m| m.stale_responses),
-    ("messages_remote_total", |m| m.remote_messages),
-    ("messages_local_total", |m| m.local_messages),
-    ("messages_forwarded_total", |m| m.forwarded_messages),
-    ("messages_lost_in_flight_total", |m| m.lost_in_flight),
-    ("messages_net_dropped_total", |m| m.net_dropped),
-    ("forward_loop_drops_total", |m| m.forward_loop_drops),
-    ("zombie_branches_total", |m| m.zombie_branches),
-    ("retries_total", |m| m.retries),
-    ("retry_budget_exhausted_total", |m| m.retry_budget_exhausted),
-    ("migrations_total", |m| m.migrations),
-    ("migrations_aborted_total", |m| m.migrations_aborted),
-    ("server_failures_total", |m| m.server_failures),
-    ("heartbeats_sent_total", |m| m.heartbeats_sent),
-    ("heartbeats_dropped_total", |m| m.heartbeats_dropped),
-    ("suspicions_total", |m| m.suspicions),
-    ("unsuspicions_total", |m| m.unsuspicions),
-    ("directory_repairs_total", |m| m.directory_repairs),
-    ("false_suspicion_repairs_total", |m| {
-        m.false_suspicion_repairs
-    }),
-    ("splits_total", |m| m.splits),
-    ("splits_aborted_total", |m| m.splits_aborted),
-    ("replica_drops_total", |m| m.replica_drops),
-    ("replica_reads_total", |m| m.replica_reads),
-];
-
-/// Snapshot-subsystem counters, registered after [`COUNTERS`] only when
-/// the run has snapshots configured. Conditional registration keeps the
-/// snapshot-off wire schema — and therefore every golden artifact —
-/// byte-identical to builds predating the subsystem; both backends derive
-/// the flag from the same config, so cross-shard merge schemas still
-/// match.
-const SNAP_COUNTERS: &[CounterSource] = &[
-    ("snap_rounds_started_total", |m| m.snap_rounds_started),
-    ("snap_rounds_completed_total", |m| m.snap_rounds_completed),
-    ("snap_rounds_aborted_total", |m| m.snap_rounds_aborted),
-    ("snap_rounds_skipped_total", |m| m.snap_rounds_skipped),
-    ("snap_captures_total", |m| m.snap_captures),
-    ("snap_bytes_total", |m| m.snap_bytes),
-    ("snap_inflight_total", |m| m.snap_inflight),
-    ("state_writes_total", |m| m.state_writes),
-    ("restores_total", |m| m.restores),
-    ("restore_replayed_total", |m| m.restore_replayed),
-    ("restores_deferred_total", |m| m.restores_deferred),
-];
-
 /// An SLO alert transition surfaced to the caller so it can record trace
 /// events and tally cluster metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,17 +119,16 @@ impl std::fmt::Debug for CounterMirror {
 
 impl Observability {
     /// Builds the registry schema for a cluster of `servers` servers and
-    /// an SLO engine over `series_bin_ns`-wide bins. Every backend with
-    /// the same `(config, servers, series_bin_ns)` builds an *identical*
-    /// schema — a requirement for cross-shard merging.
-    pub fn new(cfg: &ObsConfig, servers: usize, series_bin_ns: u64) -> Self {
-        Self::with_snapshot(cfg, servers, series_bin_ns, false)
-    }
-
-    /// Like [`Observability::new`], additionally registering the snapshot
-    /// counters and round-duration histogram when `snapshot` is true.
-    /// Both backends derive the flag from `config.snapshot.is_some()`, so
-    /// every shard of one run builds the same schema.
+    /// an SLO engine over `series_bin_ns`-wide bins. The counter families
+    /// are the exported rows of [`ClusterMetrics::COUNTERS`], in table
+    /// order: the core group, then — only when `snapshot` is true — the
+    /// snapshot group and the round-duration histogram. Conditional
+    /// registration keeps the snapshot-off wire schema, and therefore
+    /// every golden artifact, byte-identical to builds predating the
+    /// subsystem. Every backend with the same `(config, servers,
+    /// series_bin_ns, snapshot)` builds an *identical* schema — a
+    /// requirement for cross-shard merging; both derive `snapshot` from
+    /// `config.snapshot.is_some()`.
     pub fn with_snapshot(
         cfg: &ObsConfig,
         servers: usize,
@@ -194,23 +136,22 @@ impl Observability {
         snapshot: bool,
     ) -> Self {
         let mut registry = Registry::new(cfg.ring_capacity);
-        let mut counters: Vec<CounterMirror> = COUNTERS
-            .iter()
-            .map(|&(name, read)| CounterMirror {
-                id: registry.counter(name, &[]),
-                read,
-                prev: 0,
-                acc: 0,
+        let group = |snap: bool| {
+            ClusterMetrics::COUNTERS
+                .iter()
+                .filter(move |c| c.snapshot == snap)
+        };
+        let exported = group(false).chain(group(true).filter(|_| snapshot));
+        let counters: Vec<CounterMirror> = exported
+            .filter_map(|c| {
+                Some(CounterMirror {
+                    id: registry.counter(c.export?, &[]),
+                    read: c.read,
+                    prev: 0,
+                    acc: 0,
+                })
             })
             .collect();
-        if snapshot {
-            counters.extend(SNAP_COUNTERS.iter().map(|&(name, read)| CounterMirror {
-                id: registry.counter(name, &[]),
-                read,
-                prev: 0,
-                acc: 0,
-            }));
-        }
         let mut queue_gauges = Vec::with_capacity(servers);
         let mut up_gauges = Vec::with_capacity(servers);
         for s in 0..servers {
@@ -401,14 +342,14 @@ fn bin_obs(series: &BinnedSeries, bin: usize) -> actop_obs::BinObs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use actop_obs::{FrameValue, SloSpec};
+    use actop_obs::{FrameValue, MetricKind, SloSpec};
 
     fn obs_with(slos: Vec<SloSpec>) -> Observability {
         let cfg = ObsConfig {
             slos,
             ..ObsConfig::default()
         };
-        Observability::new(&cfg, 2, 1_000_000_000)
+        Observability::with_snapshot(&cfg, 2, 1_000_000_000, false)
     }
 
     fn counter_value(o: &Observability, name: &str) -> u64 {
@@ -527,7 +468,7 @@ mod tests {
     #[test]
     fn snapshot_schema_is_opt_in_and_merges() {
         let cfg = ObsConfig::default();
-        let plain = Observability::new(&cfg, 2, 1_000_000_000);
+        let plain = Observability::with_snapshot(&cfg, 2, 1_000_000_000, false);
         let with = Observability::with_snapshot(&cfg, 2, 1_000_000_000, true);
         assert!(
             !plain
@@ -555,6 +496,69 @@ mod tests {
         a.observe_snap_round(5_000_000);
         a.merge_from(&b);
         assert_eq!(counter_value(&a, "snap_captures_total"), 7);
+    }
+
+    /// The counter families on the wire, in registration order.
+    fn counter_families(o: &Observability) -> Vec<&str> {
+        o.registry()
+            .defs()
+            .iter()
+            .filter(|d| d.kind == MetricKind::Counter)
+            .map(|d| d.name.as_str())
+            .collect()
+    }
+
+    #[test]
+    fn counter_wire_schema_is_pinned() {
+        const CORE: [&str; 28] = [
+            "requests_submitted_total",
+            "requests_completed_total",
+            "requests_rejected_total",
+            "requests_timed_out_total",
+            "requests_shed_no_live_total",
+            "responses_stale_total",
+            "messages_remote_total",
+            "messages_local_total",
+            "messages_forwarded_total",
+            "messages_lost_in_flight_total",
+            "messages_net_dropped_total",
+            "forward_loop_drops_total",
+            "zombie_branches_total",
+            "retries_total",
+            "retry_budget_exhausted_total",
+            "migrations_total",
+            "migrations_aborted_total",
+            "server_failures_total",
+            "heartbeats_sent_total",
+            "heartbeats_dropped_total",
+            "suspicions_total",
+            "unsuspicions_total",
+            "directory_repairs_total",
+            "false_suspicion_repairs_total",
+            "splits_total",
+            "splits_aborted_total",
+            "replica_drops_total",
+            "replica_reads_total",
+        ];
+        const SNAPSHOT: [&str; 11] = [
+            "snap_rounds_started_total",
+            "snap_rounds_completed_total",
+            "snap_rounds_aborted_total",
+            "snap_rounds_skipped_total",
+            "snap_captures_total",
+            "snap_bytes_total",
+            "snap_inflight_total",
+            "state_writes_total",
+            "restores_total",
+            "restore_replayed_total",
+            "restores_deferred_total",
+        ];
+        let cfg = ObsConfig::default();
+        let off = Observability::with_snapshot(&cfg, 2, 1_000_000_000, false);
+        assert_eq!(counter_families(&off), CORE);
+        let on = Observability::with_snapshot(&cfg, 2, 1_000_000_000, true);
+        let both: Vec<&str> = CORE.iter().chain(&SNAPSHOT).copied().collect();
+        assert_eq!(counter_families(&on), both);
     }
 
     #[test]

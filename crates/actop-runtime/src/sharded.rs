@@ -3012,24 +3012,19 @@ mod tests {
         merged
     }
 
-    fn counters(m: &ClusterMetrics) -> Vec<u64> {
-        vec![
-            m.submitted,
-            m.completed,
-            m.rejected,
-            m.stale_responses,
-            m.remote_messages,
-            m.local_messages,
-            m.forwarded_messages,
-            m.retries,
-            m.retry_budget_exhausted,
-            m.lost_in_flight,
-            m.server_failures,
-            m.e2e_latency.count(),
-            m.remote_call_latency.count(),
-            m.e2e_latency.quantile(0.5),
-            m.e2e_latency.max(),
-        ]
+    /// Every table counter by name, plus the latency counts and shape.
+    fn counters(m: &ClusterMetrics) -> Vec<(&'static str, u64)> {
+        let mut c: Vec<_> = ClusterMetrics::COUNTERS
+            .iter()
+            .map(|c| (c.name, (c.read)(m)))
+            .collect();
+        c.extend([
+            ("e2e_latency.count", m.e2e_latency.count()),
+            ("remote_call_latency.count", m.remote_call_latency.count()),
+            ("e2e_latency.p50", m.e2e_latency.quantile(0.5)),
+            ("e2e_latency.max", m.e2e_latency.max()),
+        ]);
+        c
     }
 
     #[test]
@@ -3174,24 +3169,6 @@ mod tests {
         (merged, version_sum)
     }
 
-    fn snap_counters(m: &ClusterMetrics) -> Vec<u64> {
-        let mut c = counters(m);
-        c.extend([
-            m.state_writes,
-            m.restores,
-            m.restore_replayed,
-            m.restores_deferred,
-            m.snap_rounds_started,
-            m.snap_rounds_completed,
-            m.snap_rounds_aborted,
-            m.snap_rounds_skipped,
-            m.snap_captures,
-            m.snap_bytes,
-            m.snap_inflight,
-        ]);
-        c
-    }
-
     #[test]
     fn snapshot_chaos_recovers_state_and_exercises_every_path() {
         let (m, version_sum) = run_snap_chaos_case(1, 1);
@@ -3224,8 +3201,8 @@ mod tests {
         for (shards, threads) in [(2, 2), (5, 3)] {
             let m = run_snap_chaos_case(shards, threads);
             assert_eq!(
-                snap_counters(&base.0),
-                snap_counters(&m.0),
+                counters(&base.0),
+                counters(&m.0),
                 "snapshot chaos shards={shards} threads={threads} diverged"
             );
             assert_eq!(base.1, m.1, "durable state diverged at shards={shards}");

@@ -799,7 +799,7 @@ impl<W: ShardWorld> ConservativeRunner<W> {
     /// sequential oracle by more than the cost of probing: windows run in
     /// timed blocks, each either inline on the calling thread or threaded,
     /// and every block takes whichever mode measured cheaper per window
-    /// (see [`BlockChooser`]). `threads <= 1` — or a machine with a
+    /// (see `BlockChooser`). `threads <= 1` — or a machine with a
     /// single core, where worker threads could only interleave through
     /// the scheduler — runs inline only. Results are byte-identical
     /// either way.

@@ -12,7 +12,10 @@
 //!   transfer over an endpoint crash).
 //!
 //! Usage:
-//!   check_trace <trace.json | trace.spans.jsonl> [options]
+//!
+//! ```text
+//! check_trace <trace.json | trace.spans.jsonl> [options]
+//!
 //! Options (JSONL mode only):
 //!   --plan <file>      fault-plan text (`FaultPlan::to_text` format)
 //!   --base-ns <n>      sim time the plan was installed at (default 0)
@@ -25,6 +28,7 @@
 //!                      width, else the transfer window) exceeds it
 //!                      (default none)
 //!   --grace-ns <n>     open-lifecycle grace at end of trace (default 5 s)
+//! ```
 //!
 //! Exits nonzero if the file is missing, malformed, or violates any
 //! invariant; violations are printed one per line.

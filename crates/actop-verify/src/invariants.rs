@@ -17,8 +17,9 @@
 //!   admitted again (ids are slab handles and recur); requests still in
 //!   flight near the end of the trace are exempted by a grace window.
 //! * **No work on a dead server** — queue-wait and service spans never
-//!   overlap a crash window of the installed [`FaultPlan`] (crashes wipe
-//!   queues and cancel in-progress work).
+//!   overlap a crash window of the installed
+//!   [`FaultPlan`](actop_chaos::FaultPlan) (crashes wipe queues and
+//!   cancel in-progress work).
 //! * **Migration transfer windows never overlap an endpoint crash** — a
 //!   committed migration implies both endpoints were up for the whole
 //!   transfer window (crashes abort in-flight migrations).

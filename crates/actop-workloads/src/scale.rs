@@ -27,7 +27,7 @@
 //! Requests are single-actor read/write request-replies: `TAG_READ` is
 //! side-effect-free (replica-servable under
 //! `ReplicationConfig::read_tags = 0b1`), `TAG_WRITE` must execute at
-//! the primary. Each player owns a state slab ([`ScaleState::slab`])
+//! the primary. Each player owns a state slab (`ScaleState::slab`)
 //! touched by every handler, so the per-player memory footprint of a
 //! 1M-player build is real and auditable ([`MemoryAudit`]).
 
