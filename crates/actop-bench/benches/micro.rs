@@ -9,6 +9,7 @@
 //! | `pscpu_*` | CPU/SEDA model (processor-sharing CPU) |
 //! | `space_saving_*` | communication sketch |
 //! | `space_saving_retain_actor_16k` | communication sketch (migration drop) |
+//! | `partition_view_4k_entries_*` | partition policy (view build) |
 //! | `candidate_set_2k_vertices_*` | partition policy (candidate scoring) |
 //! | `histogram_*` | metrics (latency histogram) |
 //! | `select_exchange_*` | partition policy (exchange selection) |
@@ -18,7 +19,7 @@ use actop_metrics::LatencyHistogram;
 use actop_partition::score::ScoredVertex;
 use actop_partition::{
     candidate_set, candidate_set_toward, select_exchange, DenseDirectory, ExchangeRequest,
-    Partition, PartitionConfig,
+    Partition, PartitionConfig, PartitionView, ViewScope,
 };
 use actop_runtime::table::SlabTable;
 use actop_seda::allocate_threads;
@@ -555,6 +556,50 @@ fn bench_sketch_retain(c: &mut Criterion) {
     });
 }
 
+/// Layer: partition policy (view build). One server's edge sketch at the
+/// halo-actop shape: ~4K live `(local, peer)` entries of a 16,384-slot
+/// sketch over ~2K local vertices. One vertex in seven talks to peers on
+/// other servers (the rest only to co-located peers), so the movable
+/// view keeps a seventh of the vertices. Each iteration refills a reused
+/// view from the sketch, as a partition round does.
+fn bench_partition_view(c: &mut Criterion) {
+    const LOCALS: usize = 2_048;
+    const REMOTE_BASE: u32 = 10_000;
+    let mut rng = DetRng::new(10);
+    let mut sketch: SpaceSaving<(u32, u32)> = SpaceSaving::new(16_384);
+    for _ in 0..4_096 {
+        let local = rng.below(LOCALS) as u32;
+        let peer = if local.is_multiple_of(7) {
+            REMOTE_BASE + rng.below(10_000) as u32
+        } else {
+            rng.below(LOCALS) as u32
+        };
+        sketch.offer((local, peer), 1 + rng.below(20) as u64);
+    }
+    // Locals and their co-located peers on server 0; remote peers spread
+    // over servers 1..=9.
+    let locate = |v: &u32| {
+        Some(if *v < REMOTE_BASE {
+            0
+        } else {
+            1 + *v as usize % 9
+        })
+    };
+    for (name, scope) in [
+        ("partition_view_4k_entries_full", ViewScope::Full),
+        ("partition_view_4k_entries_movable", ViewScope::Movable),
+    ] {
+        let mut view = PartitionView::new();
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let entries = sketch.iter_entries().map(|e| (e.item.0, e.item.1, e.count));
+                view.fill(0, scope, entries, locate);
+                black_box(view.edge_count())
+            })
+        });
+    }
+}
+
 /// Layer: partition policy (candidate scoring). One server's local view at
 /// the halo-actop shape: 2,000 vertices with 8 edges each across 10
 /// servers, `k` = 128. The initiator builds every destination's set; the
@@ -564,14 +609,13 @@ fn bench_candidate_set(c: &mut Criterion) {
     const PEERS: usize = 20_000;
     let mut rng = DetRng::new(9);
     let placement: Vec<usize> = (0..PEERS).map(|_| rng.below(SERVERS)).collect();
-    let view: Vec<(u32, Vec<(u32, u64)>)> = (0..2_000)
-        .map(|v| {
-            let edges = (0..8)
-                .map(|_| (rng.below(PEERS) as u32, rng.below(20) as u64 + 1))
-                .collect();
-            (v, edges)
-        })
-        .collect();
+    let mut view = PartitionView::new();
+    for v in 0..2_000 {
+        let edges: Vec<(u32, u64)> = (0..8)
+            .map(|_| (rng.below(PEERS) as u32, rng.below(20) as u64 + 1))
+            .collect();
+        view.push(v, &edges);
+    }
     let locate = |p: &u32| Some(placement[*p as usize]);
     c.bench_function("candidate_set_2k_vertices_initiator", |b| {
         b.iter(|| black_box(candidate_set(&view, 0, SERVERS, 128, locate).len()))
@@ -654,6 +698,7 @@ criterion_group!(
     bench_cpu_steady,
     bench_sketch,
     bench_sketch_retain,
+    bench_partition_view,
     bench_candidate_set,
     bench_hist,
     bench_exchange,

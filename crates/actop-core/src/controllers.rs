@@ -8,13 +8,13 @@
 //! measured overhead is negligible next to data-plane traffic.
 
 use actop_partition::{
-    build_policy, CostSignals, ExchangePolicy, MigrationCostConfig, PartitionConfig, PolicyHost,
-    RepartitionPolicy, RepartitionPolicyKind,
+    build_policy, CostSignals, ExchangePolicy, MigrationCostConfig, PartitionConfig, PartitionView,
+    PolicyHost, RepartitionPolicy, RepartitionPolicyKind, ViewScope,
 };
 use actop_runtime::sharded::{
     migrate_actor_sharded, sharded_age_sketch, sharded_age_sketches, sharded_cost_signals,
     sharded_is_failed, sharded_last_exchange, sharded_locate, sharded_note_exchange,
-    sharded_partition_view, sharded_server_sizes,
+    sharded_partition_view, sharded_policy_view, sharded_server_sizes,
 };
 use actop_runtime::ActorId;
 use actop_runtime::{Cluster, ShardedCluster};
@@ -245,7 +245,8 @@ fn partition_tick(
 ///
 /// With `config.policy == ExchangeCostAware` every candidate move is
 /// charged the measured migration tax; any other kind runs the paper's
-/// cost-oblivious protocol (byte-identical to the pre-policy agent).
+/// cost-oblivious protocol (byte-identical to the pre-policy agent). The
+/// round borrows the cluster's view buffer, so repeated rounds reuse it.
 pub fn run_partition_round(
     cluster: &mut Cluster,
     engine: &mut Engine<Cluster>,
@@ -253,15 +254,29 @@ pub fn run_partition_round(
     initiator: usize,
     config: &PartitionAgentConfig,
 ) -> usize {
-    let mut policy = ExchangePolicy {
+    let mut policy = exchange_policy(config, std::mem::take(cluster.policy_view()));
+    let moves = {
+        let mut host = LegacyHost {
+            cluster,
+            engine,
+            now,
+        };
+        policy.round(&mut host, now.as_nanos(), initiator, &config.protocol)
+    };
+    *cluster.policy_view() = policy.view;
+    moves
+}
+
+/// The exchange protocol `config` selects (cost-aware or not), running in
+/// a lent view buffer.
+fn exchange_policy(
+    config: &PartitionAgentConfig,
+    view: PartitionView<ActorId>,
+) -> ExchangePolicy<ActorId> {
+    ExchangePolicy {
         cost: (config.policy == RepartitionPolicyKind::ExchangeCostAware).then_some(config.cost),
-    };
-    let mut host = LegacyHost {
-        cluster,
-        engine,
-        now,
-    };
-    policy.round(&mut host, now.as_nanos(), initiator, &config.protocol)
+        view,
+    }
 }
 
 /// One round of a non-exchange per-server policy, state moving through the
@@ -336,8 +351,8 @@ impl PolicyHost<ActorId> for LegacyHost<'_, '_> {
         self.cluster.server_count()
     }
 
-    fn view(&mut self, server: usize) -> Vec<(ActorId, Vec<(ActorId, u64)>)> {
-        self.cluster.partition_view(server)
+    fn view(&mut self, server: usize, scope: ViewScope, out: &mut PartitionView<ActorId>) {
+        self.cluster.partition_view(server, scope, out);
     }
 
     fn locate(&mut self, a: &ActorId) -> Option<usize> {
@@ -513,18 +528,21 @@ fn partition_tick_sharded(
 /// Executes one initiation of the pairwise protocol on the sharded
 /// backend — the same algorithm as [`run_partition_round`], expressed
 /// against the serial-phase helpers. Returns the number of migrations.
+/// Like [`run_partition_round`], it borrows the backend's view buffer.
 pub fn run_partition_round_sharded(
     ctx: &mut GlobalCtx<'_, ShardedCluster>,
     now: Nanos,
     initiator: usize,
     config: &PartitionAgentConfig,
 ) -> usize {
-    let mut policy = ExchangePolicy {
-        cost: (config.policy == RepartitionPolicyKind::ExchangeCostAware).then_some(config.cost),
-    };
+    let mut policy = exchange_policy(config, std::mem::take(sharded_policy_view(ctx)));
     let servers = sharded_server_sizes(ctx).len();
-    let mut host = ShardedHost { ctx, now, servers };
-    policy.round(&mut host, now.as_nanos(), initiator, &config.protocol)
+    let moves = {
+        let mut host = ShardedHost { ctx, now, servers };
+        policy.round(&mut host, now.as_nanos(), initiator, &config.protocol)
+    };
+    *sharded_policy_view(ctx) = policy.view;
+    moves
 }
 
 /// One round of a non-exchange per-server policy on the sharded backend.
@@ -586,8 +604,8 @@ impl PolicyHost<ActorId> for ShardedHost<'_, '_> {
         self.servers
     }
 
-    fn view(&mut self, server: usize) -> Vec<(ActorId, Vec<(ActorId, u64)>)> {
-        sharded_partition_view(self.ctx, server)
+    fn view(&mut self, server: usize, scope: ViewScope, out: &mut PartitionView<ActorId>) {
+        sharded_partition_view(self.ctx, server, scope, out);
     }
 
     fn locate(&mut self, a: &ActorId) -> Option<usize> {

@@ -21,6 +21,7 @@ use crate::config::PartitionConfig;
 use crate::driver::local_view;
 use crate::graph::{CommGraph, Partition};
 use crate::score::{candidate_set, transfer_scores};
+use crate::view::{PartitionView, ViewScope};
 
 /// Places every vertex on a uniformly random server (Orleans' default).
 pub fn random_partition<V>(vertices: &[V], servers: usize, rng: &mut DetRng) -> Partition<V>
@@ -69,8 +70,9 @@ where
     // Snapshot the assignment: all servers decide from the same stale view.
     let snapshot = partition.clone();
     let mut moves: Vec<(V, usize)> = Vec::new();
+    let mut view = PartitionView::new();
     for p in 0..servers {
-        let view = local_view(graph, &snapshot, p);
+        local_view(graph, &snapshot, p, ViewScope::Movable, &mut view);
         let sets = candidate_set(&view, p, servers, config.candidate_set_size, |v| {
             snapshot.server_of(v)
         });

@@ -13,21 +13,27 @@ use crate::config::PartitionConfig;
 use crate::exchange::{select_exchange, ExchangeRequest};
 use crate::graph::{CommGraph, Partition};
 use crate::score::{candidate_set, candidate_set_toward, total_score, transfer_scores};
+use crate::view::{PartitionView, ViewScope};
 
-/// The per-vertex edge lists of one server, as the protocol consumes them.
+/// Refills `out` with one server's vertices and their edges, as the
+/// protocol consumes them: vertices in order, edges sorted by peer, and
+/// with [`ViewScope::Full`] isolated vertices too.
 pub fn local_view<V>(
     graph: &CommGraph<V>,
     partition: &Partition<V>,
     server: usize,
-) -> Vec<(V, Vec<(V, u64)>)>
-where
+    scope: ViewScope,
+    out: &mut PartitionView<V>,
+) where
     V: Copy + Eq + Hash + Ord,
 {
-    partition
-        .vertices_on(server)
-        .into_iter()
-        .map(|v| (v, graph.neighbors(&v)))
-        .collect()
+    out.clear();
+    for v in partition.vertices_on(server) {
+        let edges = graph.neighbors(&v);
+        if scope.keeps(&edges, server, |u| partition.server_of(u)) {
+            out.push(v, &edges);
+        }
+    }
 }
 
 /// One initiation by server `initiator` (one execution of Alg. 1):
@@ -44,7 +50,8 @@ where
     V: Copy + Eq + Hash + Ord,
 {
     let servers = partition.servers();
-    let view = local_view(graph, partition, initiator);
+    let mut view = PartitionView::new();
+    local_view(graph, partition, initiator, ViewScope::Movable, &mut view);
     let locate = |v: &V| partition.server_of(v);
     let sets = candidate_set(&view, initiator, servers, config.candidate_set_size, locate);
     // Rank targets by anticipated total score.
@@ -64,9 +71,9 @@ where
             candidates: sets[target].clone(),
         };
         // Responder builds its own candidates toward the initiator.
-        let responder_view = local_view(graph, partition, target);
+        local_view(graph, partition, target, ViewScope::Movable, &mut view);
         let own = candidate_set_toward(
-            &responder_view,
+            &view,
             target,
             servers,
             config.candidate_set_size,
@@ -265,11 +272,12 @@ mod tests {
     #[test]
     fn local_view_contains_all_local_vertices() {
         let (g, p) = crossed_cliques();
-        let view = local_view(&g, &p, 0);
-        let vertices: Vec<u32> = view.iter().map(|(v, _)| *v).collect();
+        let mut view = PartitionView::new();
+        local_view(&g, &p, 0, ViewScope::Full, &mut view);
+        let vertices: Vec<u32> = view.iter().map(|(v, _)| v).collect();
         assert_eq!(vertices, vec![0, 1, 10, 11]);
         // Vertex 0's neighbors include its clique and the weak edge.
-        let edges = &view[0].1;
+        let edges = view.edges(0);
         assert!(edges.contains(&(1, 10)));
         assert!(edges.contains(&(10, 1)));
     }

@@ -11,6 +11,9 @@
 //!
 //! * [`config`] — tunables: candidate-set size `k`, imbalance tolerance
 //!   `delta`, exchange cooldown.
+//! * [`view`] — the flat [`PartitionView`] a control round reads: one
+//!   server's sampled edges grouped by vertex in reused buffers, in full or
+//!   only the vertices that can score.
 //! * [`score`] — transfer scores `R_{p,q}(v)` and candidate-set selection.
 //! * [`exchange`] — the pairwise protocol: the initiator's proposal and the
 //!   responder's greedy two-heap selection of the exchange subsets
@@ -24,8 +27,6 @@
 //! * [`baselines`] — random/hash placement, unilateral (one-sided)
 //!   migration, and a centralized greedy refinement partitioner, used as
 //!   comparison points and ablations.
-//! * [`sized`] — the §4.2 extension: heterogeneous actor sizes, migration
-//!   costs, and size-based balance.
 //! * [`split`] — hot-actor split decisions: when one actor's demand
 //!   exceeds a single server's capacity, replicate it instead of
 //!   migrating it.
@@ -45,8 +46,8 @@ pub mod graph;
 pub mod online;
 pub mod policy;
 pub mod score;
-pub mod sized;
 pub mod split;
+pub mod view;
 
 pub use config::PartitionConfig;
 pub use dense::DenseDirectory;
@@ -59,3 +60,4 @@ pub use policy::{
 };
 pub use score::{candidate_set, candidate_set_toward, retain_above, transfer_scores, ScoredVertex};
 pub use split::{decide as decide_split, SplitDecision, SplitThresholds};
+pub use view::{PartitionView, ViewScope};

@@ -22,6 +22,7 @@ use crate::config::PartitionConfig;
 use crate::policy::{
     capacity_bound, PolicyHost, PolicyScope, RepartitionPolicy, RepartitionPolicyKind,
 };
+use crate::view::{PartitionView, ViewScope};
 
 /// Tunables of [`DynamicBalancedPolicy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,6 +73,8 @@ pub struct DynamicBalancedPolicy<V> {
     frozen: FxHashMap<V, u32>,
     /// Representative -> accumulated capacity-violation pressure.
     pressure: FxHashMap<V, u32>,
+    /// The reused [`ViewScope::Full`] view buffer, one server at a time.
+    view: PartitionView<V>,
 }
 
 impl<V: Copy + Eq + Hash + Ord> DynamicBalancedPolicy<V> {
@@ -82,6 +85,7 @@ impl<V: Copy + Eq + Hash + Ord> DynamicBalancedPolicy<V> {
             comp: FxHashMap::default(),
             frozen: FxHashMap::default(),
             pressure: FxHashMap::default(),
+            view: PartitionView::default(),
         }
     }
 }
@@ -114,9 +118,10 @@ where
         let mut home: FxHashMap<V, usize> = FxHashMap::default();
         let mut edges: FxHashMap<(V, V), u64> = FxHashMap::default();
         for server in 0..servers {
-            for (v, peers) in host.view(server) {
+            host.view(server, ViewScope::Full, &mut self.view);
+            for (v, peers) in self.view.iter() {
                 home.entry(v).or_insert(server);
-                for (peer, w) in peers {
+                for &(peer, w) in peers {
                     let key = if v < peer { (v, peer) } else { (peer, v) };
                     let entry = edges.entry(key).or_default();
                     *entry = (*entry).max(w);
@@ -261,17 +266,29 @@ where
 /// a vertex goes to the server maximizing `w_to(q) × free_capacity(q)`,
 /// which is weighted deterministic greedy in its linear form. At most one
 /// candidate-set's worth of vertices moves per round.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StreamPolicy;
+#[derive(Debug, Clone)]
+pub struct StreamPolicy<V> {
+    /// The reused [`ViewScope::Full`] view buffer (the policy keeps no
+    /// other state between rounds).
+    view: PartitionView<V>,
+}
 
-impl StreamPolicy {
-    /// Creates the (stateless) policy.
+impl<V> StreamPolicy<V> {
+    /// Creates the policy.
     pub fn new() -> Self {
-        StreamPolicy
+        StreamPolicy {
+            view: PartitionView::default(),
+        }
     }
 }
 
-impl<V> RepartitionPolicy<V> for StreamPolicy
+impl<V> Default for StreamPolicy<V> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<V> RepartitionPolicy<V> for StreamPolicy<V>
 where
     V: Copy + Eq + Hash + Ord,
 {
@@ -290,15 +307,16 @@ where
         if servers < 2 {
             return 0;
         }
-        let view = host.view(initiator);
+        let view = &mut self.view;
+        host.view(initiator, ViewScope::Full, view);
         if view.is_empty() {
             return 0;
         }
         // Hottest first: total sampled volume, deterministic tie-break.
-        type Hot<V> = Vec<(u64, V, Vec<(V, u64)>)>;
-        let mut hot: Hot<V> = view
-            .into_iter()
-            .map(|(v, edges)| (edges.iter().map(|&(_, w)| w).sum(), v, edges))
+        let mut hot: Vec<(u64, V, usize)> = view
+            .iter()
+            .enumerate()
+            .map(|(i, (v, edges))| (edges.iter().map(|&(_, w)| w).sum(), v, i))
             .collect();
         hot.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         hot.truncate(config.candidate_set_size);
@@ -307,14 +325,14 @@ where
         let total: usize = loads.iter().sum();
         let cap = capacity_bound(total, servers, config);
         let mut moves = 0;
-        for (_, v, edges) in hot {
+        for (_, v, i) in hot {
             // Re-stream `v`: pull it out of its current server, then place
             // it where attraction × free capacity is largest.
             let Some(from) = host.locate(&v) else {
                 continue;
             };
             let mut w_to = vec![0u64; servers];
-            for (peer, w) in &edges {
+            for (peer, w) in view.edges(i) {
                 if let Some(s) = host.locate(peer) {
                     let w_peer = if *peer == v { 0 } else { *w };
                     if s < servers {

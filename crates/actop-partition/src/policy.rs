@@ -35,6 +35,7 @@ use crate::config::PartitionConfig;
 use crate::exchange::{select_exchange_with_cost, ExchangeRequest};
 use crate::graph::{CommGraph, Partition};
 use crate::score::{candidate_set, candidate_set_toward, retain_above, total_score};
+use crate::view::{PartitionView, ViewScope};
 
 /// Which repartitioning algorithm drives actor placement. Selected via
 /// `RuntimeConfig::repartition` / the `ACTOP_POLICY` environment knob.
@@ -178,9 +179,11 @@ pub enum PolicyScope {
 pub trait PolicyHost<V> {
     /// Cluster size.
     fn servers(&self) -> usize;
-    /// `server`'s sampled partition view: hosted vertices with weighted
-    /// edges, sorted by vertex (edges sorted by peer).
-    fn view(&mut self, server: usize) -> Vec<(V, Vec<(V, u64)>)>;
+    /// Refills `out` with `server`'s sampled partition view: hosted
+    /// vertices with weighted edges, sorted by vertex (edges sorted by
+    /// peer), restricted to `scope`. The caller owns `out` and reuses it
+    /// across rounds.
+    fn view(&mut self, server: usize, scope: ViewScope, out: &mut PartitionView<V>);
     /// Where a vertex currently lives.
     fn locate(&mut self, v: &V) -> Option<usize>;
     /// Vertices hosted per server (the balance-constraint input).
@@ -232,16 +235,16 @@ where
     V: Copy + Eq + Hash + Ord + 'static,
 {
     match kind {
-        RepartitionPolicyKind::Exchange => Box::new(ExchangePolicy { cost: None }),
-        RepartitionPolicyKind::ExchangeCostAware => Box::new(ExchangePolicy { cost: Some(cost) }),
-        RepartitionPolicyKind::OneSided => Box::new(OneSidedPolicy),
+        RepartitionPolicyKind::Exchange => Box::new(ExchangePolicy::new(None)),
+        RepartitionPolicyKind::ExchangeCostAware => Box::new(ExchangePolicy::new(Some(cost))),
+        RepartitionPolicyKind::OneSided => Box::new(OneSidedPolicy::default()),
         RepartitionPolicyKind::Stream => Box::new(crate::online::StreamPolicy::new()),
         RepartitionPolicyKind::DynamicBalanced => {
             Box::new(crate::online::DynamicBalancedPolicy::new(
                 crate::online::DynamicBalancedConfig::default(),
             ))
         }
-        RepartitionPolicyKind::Centralized => Box::new(CentralizedPolicy),
+        RepartitionPolicyKind::Centralized => Box::new(CentralizedPolicy::default()),
     }
 }
 
@@ -261,14 +264,27 @@ pub(crate) fn capacity_bound(total: usize, servers: usize, config: &PartitionCon
 /// is applied. With `cost` set, each selected move-set is charged the
 /// measured migration tax via [`move_penalty`] and vetoed wholesale when
 /// its savings cannot amortize it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExchangePolicy {
+#[derive(Debug, Clone)]
+pub struct ExchangePolicy<V> {
     /// Migration-cost-aware objective settings (`None` = the paper's
     /// cost-oblivious objective).
     pub cost: Option<MigrationCostConfig>,
+    /// The reused [`ViewScope::Movable`] view buffer: the initiator's view,
+    /// then each responder's in turn.
+    pub view: PartitionView<V>,
 }
 
-impl<V> RepartitionPolicy<V> for ExchangePolicy
+impl<V> ExchangePolicy<V> {
+    /// The protocol with an empty view buffer.
+    pub fn new(cost: Option<MigrationCostConfig>) -> Self {
+        ExchangePolicy {
+            cost,
+            view: PartitionView::default(),
+        }
+    }
+}
+
+impl<V> RepartitionPolicy<V> for ExchangePolicy<V>
 where
     V: Copy + Eq + Hash + Ord,
 {
@@ -291,7 +307,8 @@ where
         if servers < 2 {
             return 0;
         }
-        let view = host.view(initiator);
+        let view = &mut self.view;
+        host.view(initiator, ViewScope::Movable, view);
         if view.is_empty() {
             return 0;
         }
@@ -299,7 +316,7 @@ where
             None => 0,
             Some(cost) => move_penalty(&host.cost_signals(), cost),
         };
-        let mut sets = candidate_set(&view, initiator, servers, config.candidate_set_size, |v| {
+        let mut sets = candidate_set(view, initiator, servers, config.candidate_set_size, |v| {
             host.locate(v)
         });
         // Prune non-positive scores only — the migration tax is charged
@@ -328,9 +345,9 @@ where
                     continue;
                 }
             }
-            let responder_view = host.view(target);
+            host.view(target, ViewScope::Movable, view);
             let own = candidate_set_toward(
-                &responder_view,
+                view,
                 target,
                 servers,
                 config.candidate_set_size,
@@ -368,10 +385,21 @@ where
 /// server migrates its best-scoring candidates to their preferred servers
 /// without asking anyone. No cooldown, no balance negotiation — the
 /// baseline the exchange protocol exists to beat.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OneSidedPolicy;
+#[derive(Debug, Clone)]
+pub struct OneSidedPolicy<V> {
+    /// The reused [`ViewScope::Movable`] view buffer.
+    view: PartitionView<V>,
+}
 
-impl<V> RepartitionPolicy<V> for OneSidedPolicy
+impl<V> Default for OneSidedPolicy<V> {
+    fn default() -> Self {
+        OneSidedPolicy {
+            view: PartitionView::default(),
+        }
+    }
+}
+
+impl<V> RepartitionPolicy<V> for OneSidedPolicy<V>
 where
     V: Copy + Eq + Hash + Ord,
 {
@@ -390,11 +418,12 @@ where
         if servers < 2 {
             return 0;
         }
-        let view = host.view(initiator);
+        let view = &mut self.view;
+        host.view(initiator, ViewScope::Movable, view);
         if view.is_empty() {
             return 0;
         }
-        let sets = candidate_set(&view, initiator, servers, config.candidate_set_size, |v| {
+        let sets = candidate_set(view, initiator, servers, config.candidate_set_size, |v| {
             host.locate(v)
         });
         // Each vertex's single best destination, deduped across sets.
@@ -433,10 +462,21 @@ where
 /// live placement, and applies the diff. Requires the whole graph at one
 /// place — exactly what the paper's distributed protocol avoids — so it
 /// runs as a single global round per interval.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CentralizedPolicy;
+#[derive(Debug, Clone)]
+pub struct CentralizedPolicy<V> {
+    /// The reused [`ViewScope::Full`] view buffer, one server at a time.
+    view: PartitionView<V>,
+}
 
-impl<V> RepartitionPolicy<V> for CentralizedPolicy
+impl<V> Default for CentralizedPolicy<V> {
+    fn default() -> Self {
+        CentralizedPolicy {
+            view: PartitionView::default(),
+        }
+    }
+}
+
+impl<V> RepartitionPolicy<V> for CentralizedPolicy<V>
 where
     V: Copy + Eq + Hash + Ord,
 {
@@ -466,11 +506,12 @@ where
         let mut graph = CommGraph::new();
         let mut partition = Partition::new(servers);
         for server in 0..servers {
-            for (v, edges) in host.view(server) {
+            host.view(server, ViewScope::Full, &mut self.view);
+            for (v, edges) in self.view.iter() {
                 if partition.server_of(&v).is_none() {
                     partition.place(v, server);
                 }
-                for (peer, w) in edges {
+                for &(peer, w) in edges {
                     graph.add_edge(v, peer, w);
                 }
             }
@@ -552,8 +593,8 @@ impl<V: Copy + Eq + Hash + Ord> PolicyHost<V> for GraphHost<V> {
         self.partition.servers()
     }
 
-    fn view(&mut self, server: usize) -> Vec<(V, Vec<(V, u64)>)> {
-        crate::driver::local_view(&self.graph, &self.partition, server)
+    fn view(&mut self, server: usize, scope: ViewScope, out: &mut PartitionView<V>) {
+        crate::driver::local_view(&self.graph, &self.partition, server, scope, out);
     }
 
     fn locate(&mut self, v: &V) -> Option<usize> {
@@ -747,9 +788,7 @@ mod tests {
         host.signals.migrations = 1;
         host.signals.stall_ns = 32_000_000; // 320 msgs / 8 intervals = 40.
         host.signals.remote_cost_ns = 100_000;
-        let mut policy = ExchangePolicy {
-            cost: Some(MigrationCostConfig::default()),
-        };
+        let mut policy = ExchangePolicy::new(Some(MigrationCostConfig::default()));
         let cfg = PartitionConfig {
             exchange_cooldown_ns: 0,
             ..PartitionConfig::for_tests()

@@ -14,6 +14,8 @@
 
 use std::hash::Hash;
 
+use crate::view::PartitionView;
+
 /// Per-destination transfer scores for one vertex.
 ///
 /// `edges` are the (sampled) weighted edges of the vertex; `home` is the
@@ -60,14 +62,16 @@ pub struct ScoredVertex<V> {
 /// server `q != home`, the up-to-`k` local vertices with the highest
 /// positive `R_{home,q}`.
 ///
-/// `vertices` provides, per local vertex, its sampled edge list. Returns
-/// one candidate vector per server, each sorted by descending score with
-/// deterministic tie-breaking on the vertex itself.
+/// `view` provides, per local vertex, its sampled edge list; a
+/// [`ViewScope::Movable`](crate::view::ViewScope::Movable) view gives the
+/// same sets as a full one. Returns one candidate vector per server, each
+/// sorted by descending score with deterministic tie-breaking on the
+/// vertex itself.
 ///
 /// Scores go into one reused buffer and each server's set is ranked as
-/// `(score, index)` pairs; only the `k` survivors clone their edges.
+/// `(score, index)` pairs; only the `k` survivors copy their edges.
 pub fn candidate_set<V, F>(
-    vertices: &[(V, Vec<(V, u64)>)],
+    view: &PartitionView<V>,
     home: usize,
     servers: usize,
     k: usize,
@@ -79,9 +83,9 @@ where
 {
     let mut ranked: Vec<Vec<(i64, usize)>> = vec![Vec::new(); servers];
     let mut scores = vec![0i64; servers];
-    for (i, (_, edges)) in vertices.iter().enumerate() {
+    for i in 0..view.len() {
         scores.fill(0);
-        let local_sum = remote_sums(edges, home, &mut scores, &mut locate);
+        let local_sum = remote_sums(view.edges(i), home, &mut scores, &mut locate);
         for (q, &remote) in scores.iter().enumerate() {
             let score = remote - local_sum;
             if q != home && score > 0 {
@@ -91,12 +95,12 @@ where
     }
     ranked
         .into_iter()
-        .map(|pairs| top_k(vertices, pairs, k))
+        .map(|pairs| top_k(view, pairs, k))
         .collect()
 }
 
 /// The candidate set toward the single server `target`: equal to
-/// `candidate_set(vertices, home, servers, k, locate)[target]` (empty for
+/// `candidate_set(view, home, servers, k, locate)[target]` (empty for
 /// `target == home`), without scoring or ranking the other servers. The
 /// responder of an exchange only needs its set toward the initiator.
 ///
@@ -104,7 +108,7 @@ where
 ///
 /// Panics if `target >= servers`.
 pub fn candidate_set_toward<V, F>(
-    vertices: &[(V, Vec<(V, u64)>)],
+    view: &PartitionView<V>,
     home: usize,
     servers: usize,
     k: usize,
@@ -121,15 +125,15 @@ where
     }
     let mut ranked = Vec::new();
     let mut scores = vec![0i64; servers];
-    for (i, (_, edges)) in vertices.iter().enumerate() {
+    for i in 0..view.len() {
         scores.fill(0);
-        let local_sum = remote_sums(edges, home, &mut scores, &mut locate);
+        let local_sum = remote_sums(view.edges(i), home, &mut scores, &mut locate);
         let score = scores[target] - local_sum;
         if score > 0 {
             ranked.push((score, i));
         }
     }
-    top_k(vertices, ranked, k)
+    top_k(view, ranked, k)
 }
 
 /// Adds each edge's weight to `per_server[server]` for remote peers and
@@ -154,25 +158,25 @@ where
 }
 
 /// Keeps the `k` best `(score, index)` pairs — score descending, then
-/// vertex, then input position (so duplicates keep a stable order) — and
+/// vertex, then view position (so duplicates keep a stable order) — and
 /// materializes them with their edges.
 fn top_k<V: Copy + Ord>(
-    vertices: &[(V, Vec<(V, u64)>)],
+    view: &PartitionView<V>,
     mut ranked: Vec<(i64, usize)>,
     k: usize,
 ) -> Vec<ScoredVertex<V>> {
     ranked.sort_unstable_by(|a, b| {
         b.0.cmp(&a.0)
-            .then(vertices[a.1].0.cmp(&vertices[b.1].0))
+            .then(view.vertex(a.1).cmp(&view.vertex(b.1)))
             .then(a.1.cmp(&b.1))
     });
     ranked.truncate(k);
     ranked
         .into_iter()
         .map(|(score, i)| ScoredVertex {
-            vertex: vertices[i].0,
+            vertex: view.vertex(i),
             score,
-            edges: vertices[i].1.clone(),
+            edges: view.edges(i).to_vec(),
         })
         .collect()
 }
@@ -200,6 +204,14 @@ pub fn retain_above<V>(sets: &mut [Vec<ScoredVertex<V>>], threshold: i64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn view(rows: &[(u32, Vec<(u32, u64)>)]) -> PartitionView<u32> {
+        let mut view = PartitionView::new();
+        for (v, edges) in rows {
+            view.push(*v, edges);
+        }
+        view
+    }
 
     #[test]
     fn score_counts_remote_minus_local() {
@@ -247,7 +259,7 @@ mod tests {
             5 => Some(0),
             _ => None,
         };
-        let sets = candidate_set(&vertices, 0, 2, 2, locate);
+        let sets = candidate_set(&view(&vertices), 0, 2, 2, locate);
         let toward_1: Vec<u32> = sets[1].iter().map(|c| c.vertex).collect();
         assert_eq!(toward_1, vec![2, 3], "top-2 by score");
         assert_eq!(total_score(&sets[1]), 16);
@@ -261,7 +273,9 @@ mod tests {
             (3, vec![(100, 5)]),
             (9, vec![(100, 5)]),
         ];
-        let sets = candidate_set(&vertices, 0, 2, 2, |p: &u32| (*p == 100).then_some(1));
+        let sets = candidate_set(&view(&vertices), 0, 2, 2, |p: &u32| {
+            (*p == 100).then_some(1)
+        });
         let picked: Vec<u32> = sets[1].iter().map(|c| c.vertex).collect();
         assert_eq!(picked, vec![3, 7]);
     }
@@ -273,7 +287,7 @@ mod tests {
             (2, vec![(10, 9)]),
             (3, vec![(10, 7)]),
         ];
-        let full = candidate_set(&vertices, 0, 2, 8, |p: &u32| (*p == 10).then_some(1));
+        let full = candidate_set(&view(&vertices), 0, 2, 8, |p: &u32| (*p == 10).then_some(1));
 
         let mut sets = full.clone();
         retain_above(&mut sets, 0);
@@ -298,7 +312,7 @@ mod tests {
             3 => Some(1),
             _ => None,
         };
-        let sets = candidate_set(&vertices, 0, 2, 8, locate);
+        let sets = candidate_set(&view(&vertices), 0, 2, 8, locate);
         assert!(sets[1].is_empty());
     }
 }

@@ -1,83 +1,15 @@
 //! Differential test holding the allocation-lean `candidate_set` (one
-//! reused score buffer, `(score, index)` ranking, edges cloned only for
-//! the top `k`) and the single-target `candidate_set_toward` equal to the
-//! original `candidate_set`, kept verbatim below as the reference.
+//! reused score buffer, `(score, index)` ranking, edges copied only for
+//! the top `k`, read from a flat `PartitionView`) and the single-target
+//! `candidate_set_toward` equal to the original `candidate_set` over the
+//! nested view, kept verbatim below as the reference.
 //! Candidate sets decide which actors migrate, so any drift in vertex,
 //! score, edges or order would change every replay.
 
-use std::hash::Hash;
+mod reference;
 
-use actop_partition::{candidate_set, candidate_set_toward, ScoredVertex};
+use actop_partition::{candidate_set, candidate_set_toward, PartitionView};
 use proptest::prelude::*;
-
-/// The pre-optimization scoring and selection, verbatim.
-mod reference {
-    use super::*;
-
-    pub fn transfer_scores<V, F>(
-        edges: &[(V, u64)],
-        home: usize,
-        servers: usize,
-        mut locate: F,
-    ) -> Vec<i64>
-    where
-        V: Eq + Hash,
-        F: FnMut(&V) -> Option<usize>,
-    {
-        let mut per_server = vec![0i64; servers];
-        let mut local_sum = 0i64;
-        for (peer, w) in edges {
-            let Some(server) = locate(peer) else {
-                continue;
-            };
-            if server == home {
-                local_sum += *w as i64;
-            } else if server < servers {
-                per_server[server] += *w as i64;
-            }
-        }
-        for (q, score) in per_server.iter_mut().enumerate() {
-            if q == home {
-                *score = 0;
-            } else {
-                *score -= local_sum;
-            }
-        }
-        per_server
-    }
-
-    pub fn candidate_set<V, F>(
-        vertices: &[(V, Vec<(V, u64)>)],
-        home: usize,
-        servers: usize,
-        k: usize,
-        mut locate: F,
-    ) -> Vec<Vec<ScoredVertex<V>>>
-    where
-        V: Copy + Eq + Hash + Ord,
-        F: FnMut(&V) -> Option<usize>,
-    {
-        let mut per_server: Vec<Vec<ScoredVertex<V>>> = vec![Vec::new(); servers];
-        for (vertex, edges) in vertices {
-            let scores = transfer_scores(edges, home, servers, &mut locate);
-            for (q, &score) in scores.iter().enumerate() {
-                if q == home || score <= 0 {
-                    continue;
-                }
-                per_server[q].push(ScoredVertex {
-                    vertex: *vertex,
-                    score,
-                    edges: edges.clone(),
-                });
-            }
-        }
-        for candidates in &mut per_server {
-            candidates.sort_by(|a, b| b.score.cmp(&a.score).then(a.vertex.cmp(&b.vertex)));
-            candidates.truncate(k);
-        }
-        per_server
-    }
-}
 
 /// A random local view: vertex ids drawn from a small range (so duplicate
 /// vertices and score ties are common), each with up to 6 weighted edges
@@ -87,6 +19,15 @@ fn arb_view() -> impl Strategy<Value = Vec<(u8, Vec<(u8, u64)>)>> {
         (0u8..16, proptest::collection::vec((0u8..24, 1u64..6), 0..6)),
         0..40,
     )
+}
+
+/// The same rows, duplicates and order included, as a flat view.
+fn flat(view: &[(u8, Vec<(u8, u64)>)]) -> PartitionView<u8> {
+    let mut flat = PartitionView::new();
+    for (v, edges) in view {
+        flat.push(*v, edges);
+    }
+    flat
 }
 
 /// Places peer `p` by a per-case table; `None` entries are unknown peers,
@@ -111,7 +52,7 @@ proptest! {
         let home = home_pick % servers;
         let locate = |p: &u8| placement[*p as usize];
         let want = reference::candidate_set(&view, home, servers, k, locate);
-        let got = candidate_set(&view, home, servers, k, locate);
+        let got = candidate_set(&flat(&view), home, servers, k, locate);
         prop_assert_eq!(got, want);
     }
 
@@ -127,9 +68,10 @@ proptest! {
     ) {
         let home = home_pick % servers;
         let locate = |p: &u8| placement[*p as usize];
+        let flat = flat(&view);
         for target in 0..servers {
             let want = reference::candidate_set(&view, home, servers, k, locate).swap_remove(target);
-            let got = candidate_set_toward(&view, home, servers, k, target, locate);
+            let got = candidate_set_toward(&flat, home, servers, k, target, locate);
             prop_assert_eq!(got, want, "target {}", target);
         }
     }

@@ -10,7 +10,10 @@
 //! a runtime extension rather than application code.
 
 use actop_metrics::TimelineSample;
-use actop_partition::{decide_split, CostSignals, DenseDirectory, ExchangeOutcome, SplitDecision};
+use actop_partition::{
+    decide_split, CostSignals, DenseDirectory, ExchangeOutcome, PartitionView, SplitDecision,
+    ViewScope,
+};
 use actop_sim::{mix64, start_next, CostAttr, DetRng, Engine, Nanos, StagePool, Subsystem};
 use actop_sketch::fxmap::{fx_map_with_capacity, FxHashMap};
 use actop_snapshot::{stragglers, OpenRound, SnapshotConfig, SnapshotStore, StateCell};
@@ -169,6 +172,9 @@ pub struct Cluster {
     requests: SlabTable<RequestMeta>,
     /// Reused buffer for the tasks one CPU-completion event collects.
     cpu_done_buf: Vec<RunningTask>,
+    /// View buffer lent to partition rounds whose policy lives only for
+    /// the round ([`Cluster::policy_view`]).
+    policy_view: PartitionView<ActorId>,
 }
 
 impl Cluster {
@@ -237,6 +243,7 @@ impl Cluster {
             joins: SlabTable::new(),
             requests: SlabTable::new(),
             cpu_done_buf: Vec::new(),
+            policy_view: PartitionView::new(),
             config,
         }
     }
@@ -1501,25 +1508,27 @@ impl Cluster {
     // ActOp hooks (what the controllers drive).
     // ------------------------------------------------------------------
 
-    /// The server's partition view: its hosted actors with their sampled
-    /// edges, sorted by actor for determinism. This is the input the
-    /// distributed partitioner's candidate-set selection consumes.
-    pub fn partition_view(&self, server: usize) -> Vec<(ActorId, Vec<(ActorId, u64)>)> {
-        let sketch = &self.servers[server].edge_sketch;
-        let mut by_actor: FxHashMap<ActorId, Vec<(ActorId, u64)>> =
-            fx_map_with_capacity(sketch.len());
-        for entry in sketch.iter_entries() {
-            let (local, peer) = entry.item;
-            if self.directory.server_of(local.0) == Some(server) {
-                by_actor.entry(local).or_default().push((peer, entry.count));
-            }
-        }
-        let mut out: Vec<(ActorId, Vec<(ActorId, u64)>)> = by_actor.into_iter().collect();
-        out.sort_unstable_by_key(|(a, _)| *a);
-        for (_, edges) in &mut out {
-            edges.sort_unstable_by_key(|&(peer, _)| peer);
-        }
-        out
+    /// Refills `out` with the server's partition view: its hosted actors
+    /// with their sampled edges, sorted by actor for determinism, kept per
+    /// `scope`. This is the input the distributed partitioner's
+    /// candidate-set selection consumes.
+    pub fn partition_view(
+        &self,
+        server: usize,
+        scope: ViewScope,
+        out: &mut PartitionView<ActorId>,
+    ) {
+        let entries = self.servers[server]
+            .edge_sketch
+            .iter_entries()
+            .map(|e| (e.item.0, e.item.1, e.count));
+        out.fill(server, scope, entries, |a| self.directory.server_of(a.0));
+    }
+
+    /// The view buffer a partition round borrows when its policy does not
+    /// outlive the round; kept here so the buffer is reused across rounds.
+    pub fn policy_view(&mut self) -> &mut PartitionView<ActorId> {
+        &mut self.policy_view
     }
 
     /// Actors hosted per server (the balance-constraint input).

@@ -60,7 +60,9 @@
 
 use std::sync::Arc;
 
-use actop_partition::{decide_split, DenseDirectory, ExchangeOutcome, SplitDecision};
+use actop_partition::{
+    decide_split, DenseDirectory, ExchangeOutcome, PartitionView, SplitDecision, ViewScope,
+};
 use actop_sim::{
     mix64, start_next, ConservativeRunner, DetRng, Engine, EventId, GlobalCtx, Nanos, OutMsg,
     PhaseCell, PsCpu, ShardWorld, StagePool, Subsystem,
@@ -507,6 +509,9 @@ pub struct ShardedCluster {
     pub(crate) snap_wire_recv: u64,
     /// Reused buffer for the tasks one CPU-completion event collects.
     cpu_done_buf: Vec<SRunning>,
+    /// View buffer lent to partition rounds (shard 0's is the one used;
+    /// see [`sharded_policy_view`]).
+    policy_view: PartitionView<ActorId>,
 }
 
 /// Builds the shard worlds for a configuration. `shards` is clamped to
@@ -613,6 +618,7 @@ pub fn build_sharded(
                 snap_wire_sent: 0,
                 snap_wire_recv: 0,
                 cpu_done_buf: Vec::new(),
+                policy_view: PartitionView::new(),
             }
         })
         .collect()
@@ -2283,31 +2289,36 @@ pub fn apply_exchange_sharded(
     }
 }
 
-/// A server's partition view: its hosted actors with their sampled edges,
-/// sorted for determinism (the candidate-set input).
+/// Refills `out` with a server's partition view: its hosted actors with
+/// their sampled edges, sorted for determinism and kept per `scope` (the
+/// candidate-set input). The same builder as [`Cluster::partition_view`].
+///
+/// [`Cluster::partition_view`]: crate::Cluster::partition_view
 pub fn sharded_partition_view(
     ctx: Ctx<'_, '_>,
     server: usize,
-) -> Vec<(ActorId, Vec<(ActorId, u64)>)> {
+    scope: ViewScope,
+    out: &mut PartitionView<ActorId>,
+) {
     let shared = shared_of(ctx);
     // SAFETY: serial phase.
     let dir = unsafe { shared.directory.get() };
     let cell = ctx.cell(shared.topo.shard_of(server));
     let idx = cell.world.local_idx[server];
-    let sketch = &cell.world.slots[idx].edge_sketch;
-    let mut by_actor: FxHashMap<ActorId, Vec<(ActorId, u64)>> = FxHashMap::default();
-    for entry in sketch.iter_entries() {
-        let (local, peer) = entry.item;
-        if dir.server_of(local.0) == Some(server) {
-            by_actor.entry(local).or_default().push((peer, entry.count));
-        }
-    }
-    let mut out: Vec<(ActorId, Vec<(ActorId, u64)>)> = by_actor.into_iter().collect();
-    out.sort_unstable_by_key(|(a, _)| *a);
-    for (_, edges) in &mut out {
-        edges.sort_unstable_by_key(|&(peer, _)| peer);
-    }
-    out
+    let entries = cell.world.slots[idx]
+        .edge_sketch
+        .iter_entries()
+        .map(|e| (e.item.0, e.item.1, e.count));
+    out.fill(server, scope, entries, |a| dir.server_of(a.0));
+}
+
+/// The view buffer a partition round borrows when its policy does not
+/// outlive the round. It lives on shard 0 and is touched only from the
+/// serial phase, so it is reused across rounds.
+pub fn sharded_policy_view<'a>(
+    ctx: &'a mut GlobalCtx<'_, ShardedCluster>,
+) -> &'a mut PartitionView<ActorId> {
+    &mut ctx.cell(0).world.policy_view
 }
 
 /// Actors hosted per server (directory view).

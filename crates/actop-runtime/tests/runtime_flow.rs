@@ -1,6 +1,6 @@
 //! End-to-end behavioral tests of the actor runtime.
 
-use actop_partition::ExchangeOutcome;
+use actop_partition::{ExchangeOutcome, PartitionView, ViewScope};
 use actop_runtime::app::FixedCostApp;
 use actop_runtime::{
     ActorId, AppLogic, Call, Cluster, PlacementPolicy, Reaction, ReplicationConfig, RuntimeConfig,
@@ -258,7 +258,8 @@ fn partition_view_reflects_traffic() {
     }
     engine.run(&mut cluster);
     let home = cluster.locate(ActorId(0)).expect("active");
-    let view = cluster.partition_view(home);
+    let mut view = PartitionView::new();
+    cluster.partition_view(home, ViewScope::Full, &mut view);
     let entry = view
         .iter()
         .find(|(a, _)| *a == ActorId(0))

@@ -255,8 +255,9 @@ impl<T: Eq + Hash + Clone> SpaceSaving<T> {
 
     /// Iterates over the monitored entries without cloning or sorting, in
     /// slot order (deterministic; *not* sorted by count). This is the
-    /// hot-path accessor — `Cluster::partition_view` consumes it and
-    /// applies its own actor-order sort.
+    /// hot-path accessor: the partition view builder
+    /// (`actop_partition::PartitionView::fill`) consumes it and sorts the
+    /// entries it keeps by `(local, peer)`.
     pub fn iter_entries(&self) -> impl Iterator<Item = &SketchEntry<T>> {
         self.slots.iter().filter(|e| e.count != 0)
     }
