@@ -331,7 +331,7 @@ pub struct GlobalCtx<'a, W: ShardWorld> {
     /// The time this serial phase runs at.
     pub now: Nanos,
     cells: &'a mut [ShardCell<W>],
-    queued: Vec<(Nanos, GlobalFn<W>)>,
+    queued: &'a mut Vec<(Nanos, GlobalFn<W>)>,
 }
 
 impl<W: ShardWorld> GlobalCtx<'_, W> {
@@ -374,6 +374,9 @@ struct RunnerCore<W: ShardWorld> {
     hook: Option<BarrierHook<W>>,
     now: Nanos,
     outbox_scratch: Vec<OutMsg<W::Msg>>,
+    /// The globals a serial-phase callback schedules, lent to each
+    /// [`GlobalCtx`] and drained after it so no callback allocates a list.
+    queued: Vec<(Nanos, GlobalFn<W>)>,
     /// Windows executed so far, and how many of them ran inline.
     windows: u64,
     inline_windows: u64,
@@ -387,8 +390,10 @@ struct RunnerCore<W: ShardWorld> {
 }
 
 impl<W: ShardWorld> RunnerCore<W> {
-    fn enqueue_queued(&mut self, queued: Vec<(Nanos, GlobalFn<W>)>) {
-        for (at, f) in queued {
+    /// Moves the globals a callback scheduled onto the heap, in the order
+    /// it scheduled them.
+    fn enqueue_queued(&mut self) {
+        for (at, f) in self.queued.drain(..) {
             let seq = self.global_seq;
             self.global_seq += 1;
             self.globals.push(GlobalEntry { at, seq, f });
@@ -432,11 +437,10 @@ impl<W: ShardWorld> RunnerCore<W> {
             let mut ctx = GlobalCtx {
                 now: self.now,
                 cells,
-                queued: Vec::new(),
+                queued: &mut self.queued,
             };
             hook(&mut ctx);
-            let queued = ctx.queued;
-            self.enqueue_queued(queued);
+            self.enqueue_queued();
             self.hook = Some(hook);
         }
         // 3. Run global events at their exact times until a window opens.
@@ -470,11 +474,10 @@ impl<W: ShardWorld> RunnerCore<W> {
                     let mut ctx = GlobalCtx {
                         now: next,
                         cells,
-                        queued: Vec::new(),
+                        queued: &mut self.queued,
                     };
                     (entry.f)(&mut ctx);
-                    let queued = ctx.queued;
-                    self.enqueue_queued(queued);
+                    self.enqueue_queued();
                 }
                 continue;
             }
@@ -711,6 +714,7 @@ impl<W: ShardWorld> ConservativeRunner<W> {
                 hook: None,
                 now: Nanos::ZERO,
                 outbox_scratch: Vec::new(),
+                queued: Vec::new(),
                 windows: 0,
                 inline_windows: 0,
                 exact: false,

@@ -27,9 +27,10 @@
 //! Requests are single-actor read/write request-replies: `TAG_READ` is
 //! side-effect-free (replica-servable under
 //! `ReplicationConfig::read_tags = 0b1`), `TAG_WRITE` must execute at
-//! the primary. Each player owns a state slab (`ScaleState::slab`)
-//! touched by every handler, so the per-player memory footprint of a
-//! 1M-player build is real and auditable ([`MemoryAudit`]).
+//! the primary. Each player owns a fixed-width stretch of one flat state
+//! slab (`ScaleState::slab`) touched by every handler, so the per-player
+//! memory footprint of a 1M-player build is real and auditable
+//! ([`MemoryAudit`]).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -202,6 +203,13 @@ impl ScaleConfig {
     }
 }
 
+/// Bytes in the flat player-state slab, or `None` if they overflow `usize`.
+fn slab_len(cfg: &ScaleConfig) -> Option<usize> {
+    usize::try_from(cfg.players)
+        .ok()?
+        .checked_mul(cfg.state_bytes_per_player)
+}
+
 pub(crate) fn validate_scale_config(cfg: &ScaleConfig) {
     assert!(cfg.players > 0, "need at least one player");
     assert!(
@@ -213,6 +221,10 @@ pub(crate) fn validate_scale_config(cfg: &ScaleConfig) {
         "write_fraction must be a probability"
     );
     assert!(cfg.read_cpu_ns > 0.0 && cfg.write_cpu_ns > 0.0);
+    assert!(
+        slab_len(cfg).is_some(),
+        "players × state_bytes_per_player must fit in usize"
+    );
     match cfg.shape {
         TrafficShape::Uniform => {}
         TrafficShape::ZipfCelebrity {
@@ -375,24 +387,42 @@ impl ScaleTraffic {
 /// Per-run state: the configuration and the per-player memory slab.
 pub struct ScaleState {
     pub(crate) cfg: ScaleConfig,
-    /// One resident allocation per player, deterministically filled —
-    /// handlers read it, so a million-player build carries (and the
-    /// audit measures) a genuine per-player footprint.
-    slab: Vec<Box<[u8]>>,
+    /// Every player's state in one deterministically filled allocation:
+    /// player `p` owns `slab[p·b .. (p+1)·b]` with
+    /// `b = state_bytes_per_player`. Handlers read it, so a million-player
+    /// build carries (and the audit measures) a genuine per-player
+    /// footprint, with no allocator overhead on top.
+    slab: Box<[u8]>,
 }
 
 impl ScaleState {
     fn new(cfg: ScaleConfig) -> Self {
-        let slab = (0..cfg.players)
-            .map(|p| vec![(mix64(p) & 0xFF) as u8; cfg.state_bytes_per_player].into_boxed_slice())
-            .collect();
+        let stride = cfg.state_bytes_per_player;
+        let len = slab_len(&cfg).expect("validate_scale_config checked the slab fits");
+        let mut slab = vec![0u8; len].into_boxed_slice();
+        if stride > 0 {
+            for (p, state) in slab.chunks_exact_mut(stride).enumerate() {
+                state.fill((mix64(p as u64) & 0xFF) as u8);
+            }
+        }
         ScaleState { cfg, slab }
+    }
+
+    /// Player `p`'s state bytes; empty for an id outside the population.
+    fn player_state(&self, p: u64) -> &[u8] {
+        if p >= self.cfg.players {
+            return &[];
+        }
+        // In range, so the offset is below `players × stride`, which fits.
+        let stride = self.cfg.state_bytes_per_player;
+        let start = p as usize * stride;
+        &self.slab[start..start + stride]
     }
 
     fn memory_audit(&self) -> MemoryAudit {
         MemoryAudit {
             players: self.cfg.players,
-            slab_bytes: self.slab.iter().map(|s| s.len() as u64).sum(),
+            slab_bytes: self.slab.len() as u64,
             peak_rss_bytes: peak_rss_bytes(),
         }
     }
@@ -436,9 +466,9 @@ pub fn peak_rss_bytes() -> Option<u64> {
 /// slab, burn the read or write cost, reply.
 fn scale_reaction(state: &ScaleState, actor: ActorId, tag: u32, rng: &mut DetRng) -> Reaction {
     let touch = state
-        .slab
-        .get(actor.0 as usize)
-        .map_or(0.0, |s| f64::from(s[0]));
+        .player_state(actor.0)
+        .first()
+        .map_or(0.0, |&b| f64::from(b));
     let mean = match tag {
         TAG_READ => state.cfg.read_cpu_ns,
         TAG_WRITE => state.cfg.write_cpu_ns,
@@ -777,6 +807,146 @@ mod tests {
         if let Some(rss) = audit.peak_rss_bytes {
             assert!(rss >= audit.slab_bytes);
         }
+    }
+
+    /// The per-player-box slab this module used before the flat one: its
+    /// construction and handler, kept verbatim as the differential
+    /// reference.
+    struct BoxedState {
+        cfg: ScaleConfig,
+        slab: Vec<Box<[u8]>>,
+    }
+
+    impl BoxedState {
+        fn new(cfg: ScaleConfig) -> Self {
+            let slab = (0..cfg.players)
+                .map(|p| {
+                    vec![(mix64(p) & 0xFF) as u8; cfg.state_bytes_per_player].into_boxed_slice()
+                })
+                .collect();
+            BoxedState { cfg, slab }
+        }
+
+        fn slab_bytes(&self) -> u64 {
+            self.slab.iter().map(|s| s.len() as u64).sum()
+        }
+    }
+
+    fn boxed_reaction(state: &BoxedState, actor: ActorId, tag: u32, rng: &mut DetRng) -> Reaction {
+        let touch = state
+            .slab
+            .get(actor.0 as usize)
+            .map_or(0.0, |s| f64::from(s[0]));
+        let mean = match tag {
+            TAG_READ => state.cfg.read_cpu_ns,
+            TAG_WRITE => state.cfg.write_cpu_ns,
+            other => panic!("scale workload got unknown tag {other}"),
+        };
+        Reaction {
+            cpu_ns: rng.exp(mean) + touch,
+            blocking_ns: 0.0,
+            outcome: Outcome::Reply {
+                bytes: state.cfg.reply_bytes,
+            },
+        }
+    }
+
+    #[test]
+    fn flat_slab_matches_per_player_boxes() {
+        for stride in [0usize, 1, 64, 100] {
+            for players in [1u64, 1_000] {
+                let mut cfg = small_cfg(TrafficShape::Uniform);
+                cfg.players = players;
+                cfg.state_bytes_per_player = stride;
+                let flat = ScaleState::new(cfg);
+                let boxed = BoxedState::new(cfg);
+                let case = format!("stride {stride}, players {players}");
+
+                // State bytes and layout: player p + 1 starts exactly one
+                // stride after player p, inside one allocation.
+                let base = flat.slab.as_ptr() as usize;
+                for p in 0..players {
+                    let state = flat.player_state(p);
+                    assert_eq!(state, &*boxed.slab[p as usize], "{case}, player {p}");
+                    assert_eq!(
+                        state.as_ptr() as usize,
+                        base + p as usize * stride,
+                        "{case}, player {p}"
+                    );
+                }
+                assert_eq!(flat.slab.len(), players as usize * stride, "{case}");
+                assert_eq!(flat.memory_audit().slab_bytes, boxed.slab_bytes(), "{case}");
+
+                // The handler, from identical RNG streams.
+                let mut ids = vec![0, players - 1, players, u64::MAX];
+                let mut draw = DetRng::stream(stride as u64, players);
+                ids.extend((0..32).map(|_| draw.below(2 * players as usize) as u64));
+                ids.extend((0..8).map(|_| draw.next_u64()));
+                for actor in ids {
+                    // The reference handler panics on an in-range actor with
+                    // zero-byte state; the flat slab reads a touch of 0.0,
+                    // as the reference does for any out-of-range id.
+                    let reference = if stride == 0 { u64::MAX } else { actor };
+                    for tag in [TAG_READ, TAG_WRITE] {
+                        let mut rng = DetRng::stream(19, actor ^ u64::from(tag));
+                        let mut rng_ref = rng.clone();
+                        let got = scale_reaction(&flat, ActorId(actor), tag, &mut rng);
+                        let want = boxed_reaction(&boxed, ActorId(reference), tag, &mut rng_ref);
+                        assert_eq!(
+                            got.cpu_ns.to_bits(),
+                            want.cpu_ns.to_bits(),
+                            "{case}, actor {actor}, tag {tag}"
+                        );
+                        assert_eq!(got.blocking_ns.to_bits(), want.blocking_ns.to_bits());
+                        assert_eq!(got.outcome, want.outcome, "{case}, actor {actor}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must fit in usize")]
+    fn oversized_slab_is_rejected_before_allocating() {
+        let mut cfg = small_cfg(TrafficShape::Uniform);
+        cfg.players = 1 << 40;
+        cfg.state_bytes_per_player = 1 << 40;
+        let _ = ScaleWorkload::build(cfg);
+    }
+
+    #[test]
+    fn zero_byte_player_state_runs_on_both_backends() {
+        let mut cfg = small_cfg(TrafficShape::ZipfCelebrity {
+            celebrities: 4,
+            exponent: 1.2,
+            celebrity_share: 0.7,
+        });
+        cfg.state_bytes_per_player = 0;
+
+        let (app, workload) = ScaleWorkload::build(cfg);
+        assert_eq!(workload.memory_audit().slab_bytes, 0);
+        let mut cluster = Cluster::new(RuntimeConfig::paper_testbed(11), app);
+        let mut engine: Engine<Cluster> = Engine::new();
+        workload.install(&mut engine);
+        engine.run(&mut cluster);
+        assert!(cluster.metrics.submitted > 500);
+        assert_eq!(cluster.metrics.completed, cluster.metrics.submitted);
+
+        let (app, workload) = ShardedScaleWorkload::build(cfg);
+        assert_eq!(workload.memory_audit().slab_bytes, 0);
+        let rt = RuntimeConfig::paper_testbed(11);
+        let series_bin = rt.series_bin_ns;
+        let lookahead = sharded_lookahead(&rt);
+        let mut runner = ConservativeRunner::new(build_sharded(rt, app, 2), lookahead);
+        install_sharded_hooks(&mut runner);
+        workload.install(&mut runner);
+        runner.run_until(cfg.duration + Nanos::from_millis(200), 2);
+        let mut merged = ClusterMetrics::new(series_bin);
+        for cell in runner.cells() {
+            merged.merge_from(cell.world.metrics());
+        }
+        assert!(merged.submitted > 500);
+        assert_eq!(merged.completed, merged.submitted);
     }
 
     #[test]
