@@ -12,9 +12,12 @@
 //! GOLDEN_PRINT=1 cargo test -p actop-bench --test golden_halo -- --nocapture
 //! ```
 
-use actop_bench::{run_halo, HaloScenario};
+use actop_bench::{run_halo, run_halo_sharded, HaloScenario};
 use actop_core::controllers::ActOpConfig;
-use actop_sim::Nanos;
+use actop_core::experiment::RunSummary;
+use actop_partition::RepartitionPolicyKind;
+use actop_runtime::Cluster;
+use actop_sim::{EngineReport, Nanos};
 
 fn scenario() -> HaloScenario {
     HaloScenario {
@@ -29,8 +32,10 @@ fn scenario() -> HaloScenario {
 }
 
 fn fingerprint(actop: &ActOpConfig) -> String {
-    let s = scenario();
-    let (summary, report, cluster) = run_halo(&s, actop);
+    fingerprint_of(run_halo(&scenario(), actop))
+}
+
+fn fingerprint_of((summary, report, cluster): (RunSummary, EngineReport, Cluster)) -> String {
     format!(
         "submitted={} completed={} rejected={} migrations={} remote={:.6} \
          p50={:.6} p95={:.6} p99={:.6} mean={:.6} events={} final_now={}",
@@ -69,6 +74,89 @@ fn golden_baseline_and_optimized() {
          p50=3.047424 p95=4.653056 p99=5.570560 mean=3.173947 events=127976 final_now=636",
         "optimized fingerprint drifted; if intentional, re-record with GOLDEN_PRINT=1"
     );
+}
+
+/// The ActOp agents pinned absolutely on both backends: both agents on the
+/// sequential engine and on the sharded one (1 and 2 shards), plus one
+/// per-server non-exchange policy and one global policy on the sharded
+/// backend. The shard-count tests only pin the sharded runs relative to
+/// each other; these fingerprints catch a change to what the agents do.
+#[test]
+fn golden_agents_on_both_backends() {
+    let s = scenario();
+    let both = s.actop(true, true);
+    let with_policy = |kind| {
+        let mut actop = s.actop(true, false);
+        actop.partition.as_mut().expect("partition agent").policy = kind;
+        actop
+    };
+    let runs = [
+        ("legacy both", fingerprint(&both)),
+        (
+            "sharded1 both",
+            fingerprint_of(run_halo_sharded(&s, &both, 1)),
+        ),
+        (
+            "sharded2 both",
+            fingerprint_of(run_halo_sharded(&s, &both, 2)),
+        ),
+        (
+            "sharded1 stream",
+            fingerprint_of(run_halo_sharded(
+                &s,
+                &with_policy(RepartitionPolicyKind::Stream),
+                1,
+            )),
+        ),
+        (
+            "sharded1 dynamic",
+            fingerprint_of(run_halo_sharded(
+                &s,
+                &with_policy(RepartitionPolicyKind::DynamicBalanced),
+                1,
+            )),
+        ),
+    ];
+    if std::env::var("GOLDEN_PRINT").is_ok() {
+        for (name, fp) in &runs {
+            println!("GOLDEN {name}: {fp}");
+        }
+        return;
+    }
+    let expected = [
+        (
+            "legacy both",
+            "submitted=2422 completed=2421 rejected=0 migrations=651 remote=0.046013 \
+             p50=2.392064 p95=3.768320 p99=4.521984 mean=2.526174 events=131339 final_now=651",
+        ),
+        (
+            "sharded1 both",
+            "submitted=2422 completed=2421 rejected=0 migrations=657 remote=0.081987 \
+             p50=2.588672 p95=4.096000 p99=4.784128 mean=2.696195 events=143265 final_now=657",
+        ),
+        (
+            "sharded2 both",
+            "submitted=2422 completed=2421 rejected=0 migrations=657 remote=0.081987 \
+             p50=2.588672 p95=4.096000 p99=4.784128 mean=2.696195 events=143265 final_now=657",
+        ),
+        (
+            "sharded1 stream",
+            "submitted=2422 completed=2421 rejected=0 migrations=818 remote=0.110704 \
+             p50=3.244032 p95=5.177344 p99=5.963776 mean=3.427105 events=142281 final_now=818",
+        ),
+        (
+            "sharded1 dynamic",
+            "submitted=2422 completed=2420 rejected=0 migrations=767 remote=0.015060 \
+             p50=2.981888 p95=4.259840 p99=5.308416 mean=3.078693 events=122998 final_now=767",
+        ),
+    ];
+    for ((name, fp), (want_name, want)) in runs.iter().zip(expected) {
+        assert_eq!(*name, want_name);
+        assert_eq!(
+            fp, want,
+            "{name} fingerprint drifted; if intentional, re-record with GOLDEN_PRINT=1"
+        );
+    }
 }
 
 #[test]
