@@ -7,7 +7,7 @@
 //! run at the paper's full population and durations.
 
 use actop_core::controllers::{
-    install_actop, install_actop_sharded, ActOpConfig, PartitionAgentConfig, ThreadAgentConfig,
+    install_actop, ActOpConfig, PartitionAgentConfig, ThreadAgentConfig,
 };
 use actop_core::experiment::{run_sharded_steady_state, run_steady_state, RunSummary};
 use actop_obs::{exposition, FaultNote, ScrapeWriter};
@@ -500,7 +500,7 @@ pub fn run_halo_sharded(
     }
     install_sharded_hooks(&mut runner);
     workload.install(&mut runner);
-    install_actop_sharded(&mut runner, scenario.servers, actop);
+    install_actop(&mut runner, scenario.servers, actop);
     install_sharded_scrapers(&mut runner, scenario.duration());
     install_snapshots_sharded(&mut runner, scenario.duration());
 

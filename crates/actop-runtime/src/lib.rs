@@ -26,10 +26,12 @@
 //! Applications implement [`AppLogic`]; workload drivers inject client
 //! requests with [`Cluster::submit_client_request`] from scheduled engine
 //! events. The ActOp controllers (crate `actop-core`) run as periodic
-//! events against the hooks exposed here: [`Cluster::partition_view`],
-//! [`Cluster::apply_exchange`], [`Cluster::drain_stage_stats`], and
-//! [`Cluster::set_stage_threads`].
+//! events against one trait, [`AgentHost`], which both backends implement:
+//! [`ClusterHost`] on the sequential [`Cluster`] and [`ShardedHost`] on the
+//! sharded one. Both keep each server's state in the same generic
+//! [`server::Server`].
 
+pub mod agent;
 pub mod app;
 pub mod cluster;
 pub mod config;
@@ -48,8 +50,9 @@ pub use actop_partition::{
 };
 pub use actop_snapshot::{SnapshotConfig, SnapshotStore, StateCell};
 pub use actop_trace::{TraceConfig, Tracer};
+pub use agent::AgentHost;
 pub use app::{AppLogic, Call, Outcome, Reaction};
-pub use cluster::{Cluster, LinkFault, MAX_FORWARD_HOPS};
+pub use cluster::{Cluster, ClusterHost, LinkFault, MAX_FORWARD_HOPS};
 pub use config::{ObsConfig, ReplicationConfig, RetryPolicy, RuntimeConfig};
 pub use detector::{DetectorConfig, FailureDetector, RtSuspicionConfig, Transition};
 pub use ids::{ActorId, RequestId, StageKind};
@@ -59,5 +62,5 @@ pub use placement::PlacementPolicy;
 pub use sharded::{
     build_sharded, install_replication_sharded, install_sharded_scrapers,
     install_snapshots_sharded, sharded_lookahead, ShardApp, ShardCtx, ShardTopology,
-    ShardedCluster,
+    ShardedCluster, ShardedHost,
 };

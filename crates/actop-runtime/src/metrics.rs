@@ -13,6 +13,9 @@
 //! the table.
 
 use actop_metrics::{BinnedSeries, Breakdown, LatencyHistogram};
+use actop_partition::CostSignals;
+
+use crate::config::RuntimeConfig;
 
 /// When a counter is zeroed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -267,6 +270,30 @@ impl ClusterMetrics {
         } else {
             self.remote_messages as f64 / total as f64
         }
+    }
+
+    /// The measured migration-cost signals the cost-aware repartitioning
+    /// objective consumes, summed over `shards` (the one cluster's metrics,
+    /// or every shard's in shard order): cumulative migrations and
+    /// transfer-window stall, an upper bound on move-attributable repair
+    /// traffic, the configured transfer window (the estimate's prior), and
+    /// the CPU overhead of one remote message at a typical payload (the
+    /// exchange rate from stall time into score units).
+    pub fn cost_signals<'a>(
+        shards: impl IntoIterator<Item = &'a ClusterMetrics>,
+        config: &RuntimeConfig,
+    ) -> CostSignals {
+        let mut signals = CostSignals {
+            transfer_ns: config.migration_transfer.map_or(0, |t| t.as_nanos()),
+            remote_cost_ns: config.costs.remote_overhead_ns(600).max(0.0) as u64,
+            ..CostSignals::default()
+        };
+        for m in shards {
+            signals.migrations += m.migrations;
+            signals.stall_ns += m.migration_stall_ns;
+            signals.repair_msgs += m.directory_repairs + m.stale_responses + m.forwarded_messages;
+        }
+        signals
     }
 
     /// Resets the latency state and the [`CounterScope::Request`] counters

@@ -2,6 +2,9 @@
 //!
 //! These never appear in the public API: applications speak [`crate::app`]
 //! types, and workload drivers speak [`crate::cluster::Cluster`] methods.
+//! [`StageItem`] and [`RunningTask`] are nominally `pub` only because they
+//! are the defaults of [`crate::server::Server`]'s type parameters; this
+//! module is private, so outside the crate they cannot be named.
 
 use actop_sim::Nanos;
 
@@ -34,42 +37,42 @@ pub(crate) enum MsgKind {
 
 /// A message traveling between actors (or from a client gateway).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Message {
+pub struct Message {
     /// Destination actor.
-    pub to: ActorId,
+    pub(crate) to: ActorId,
     /// Application tag (requests only; 0 for responses).
-    pub tag: u32,
+    pub(crate) tag: u32,
     /// Payload size in bytes.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Request or response.
-    pub kind: MsgKind,
+    pub(crate) kind: MsgKind,
     /// The root client request this message descends from.
-    pub request: RequestId,
+    pub(crate) request: RequestId,
     /// When the logical call was issued (for remote-call latency).
-    pub issued_at: Nanos,
+    pub(crate) issued_at: Nanos,
     /// Whether this delivery crossed servers (drives deserialize cost and
     /// the local-copy rule).
-    pub delivered_remotely: bool,
+    pub(crate) delivered_remotely: bool,
     /// The sending actor, if any (`None` for client-originated requests).
-    pub from_actor: Option<ActorId>,
+    pub(crate) from_actor: Option<ActorId>,
     /// True once the message has been forwarded at least once (forwarded
     /// hops are excluded from edge statistics and the remote-share metric).
-    pub forwarded: bool,
+    pub(crate) forwarded: bool,
     /// True when the *original* call crossed servers — propagated into the
     /// response so remote-call latency is attributed correctly.
-    pub call_was_remote: bool,
+    pub(crate) call_was_remote: bool,
     /// Transport delivery attempts consumed by backoff retries (crashed
     /// destinations, dropped packets). Bounds the retry budget per message.
-    pub attempts: u8,
+    pub(crate) attempts: u8,
     /// Times this message has been re-routed (forwards, failovers). Caps
     /// forward loops under split-brain routing: saturates and the message
     /// is dropped rather than ping-ponging forever.
-    pub hops: u8,
+    pub(crate) hops: u8,
 }
 
 /// An item sitting in a SEDA stage queue.
 #[derive(Debug, Clone)]
-pub(crate) enum StageItem {
+pub enum StageItem {
     /// Receiver: deserialize an inbound message.
     Deserialize(Message),
     /// Worker: execute a request handler or a response continuation.
@@ -133,19 +136,19 @@ pub(crate) enum PostAction {
 
 /// A task currently executing on a server's CPU.
 #[derive(Debug, Clone)]
-pub(crate) struct RunningTask {
+pub struct RunningTask {
     /// Stage index the task belongs to.
-    pub stage: usize,
+    pub(crate) stage: usize,
     /// Action to apply at completion.
-    pub post: PostAction,
+    pub(crate) post: PostAction,
     /// When the task started (thread picked it up).
-    pub started: Nanos,
+    pub(crate) started: Nanos,
     /// Pure CPU demand, nanoseconds.
-    pub cpu_ns: f64,
+    pub(crate) cpu_ns: f64,
     /// Synchronous blocking time after compute, nanoseconds.
-    pub wait_ns: f64,
+    pub(crate) wait_ns: f64,
     /// Root request, for breakdown accounting.
-    pub request: RequestId,
+    pub(crate) request: RequestId,
 }
 
 /// A pending fan-out join.
