@@ -1,10 +1,10 @@
 //! End-to-end behavioral tests of the actor runtime.
 
-use actop_partition::{ExchangeOutcome, PartitionView, ViewScope};
+use actop_partition::{ExchangeOutcome, PartitionView, PolicyHost, ViewScope};
 use actop_runtime::app::FixedCostApp;
 use actop_runtime::{
-    ActorId, AppLogic, Call, Cluster, PlacementPolicy, Reaction, ReplicationConfig, RuntimeConfig,
-    TraceConfig,
+    ActorId, AppLogic, Call, Cluster, ClusterHost, PlacementPolicy, Reaction, ReplicationConfig,
+    RuntimeConfig, TraceConfig,
 };
 use actop_sim::{DetRng, Engine, Nanos};
 use actop_trace::HopKind;
@@ -237,7 +237,15 @@ fn apply_exchange_moves_actors_both_ways() {
     };
     let before = cluster.metrics.migrations;
     let now = engine.now();
-    cluster.apply_exchange(&mut engine, now, 0, 1, &outcome);
+    // Applied as the exchange policy applies it, through the agents' host.
+    let mut host = ClusterHost::new(&mut cluster, &mut engine, now);
+    for actor in &outcome.accepted {
+        host.migrate(*actor, 1);
+    }
+    for actor in &outcome.returned {
+        host.migrate(*actor, 0);
+    }
+    host.note_exchange(0, 1);
     assert_eq!(cluster.metrics.migrations, before + 2);
     assert_eq!(cluster.locate(on0[0]), None, "in opportunistic limbo");
     assert!(cluster.servers[0].last_exchange_ns.is_some());
