@@ -11,11 +11,11 @@ use actop_partition::ScoredVertex;
 use actop_sketch::fxmap::{fx_map_with_capacity, FxHashMap};
 use actop_sketch::SpaceSaving;
 
-/// The nested view `Cluster::partition_view` and
-/// `sharded_partition_view` built: `server`'s hosted vertices with their
-/// sampled edges, grouped through a hash map, sorted by vertex, each
-/// vertex's edges sorted by peer. Verbatim but for the vertex type and
-/// the `locate` closure standing in for the directory.
+/// The nested view both backends' partition views used to build
+/// (`Cluster::partition_view` and its sharded twin): `server`'s hosted
+/// vertices with their sampled edges, grouped through a hash map, sorted
+/// by vertex, each vertex's edges sorted by peer. Verbatim but for the
+/// vertex type and the `locate` closure standing in for the directory.
 pub fn partition_view<V, F>(
     sketch: &SpaceSaving<(V, V)>,
     server: usize,
