@@ -32,7 +32,7 @@ use actop_runtime::{
 };
 use actop_sim::{ConservativeRunner, Engine, EngineReport, Nanos};
 use actop_workloads::halo::HaloConfig;
-use actop_workloads::{HaloWorkload, ShardedHaloWorkload};
+use actop_workloads::HaloWorkload;
 
 /// Bin-mean end-to-end latency above this marks an SLO-violation window.
 const SLO_MS: f64 = 100.0;
@@ -250,7 +250,7 @@ fn sharded_recovery_counters(shards: usize) -> (SnapshotColumns, u64, u64) {
     });
     let series_bin = rt.series_bin_ns;
     let lookahead = sharded_lookahead(&rt);
-    let (app, workload) = ShardedHaloWorkload::build(cfg);
+    let (app, workload) = HaloWorkload::build(cfg);
     let worlds = build_sharded(rt, app, shards);
     let threads = worlds.len();
     let mut runner = ConservativeRunner::new(worlds, lookahead);

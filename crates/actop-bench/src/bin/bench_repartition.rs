@@ -32,7 +32,7 @@ use actop_bench::{parallel_map, print_engine_line};
 use actop_core::controllers::{install_actop, ActOpConfig, PartitionAgentConfig};
 use actop_core::experiment::run_steady_state;
 use actop_partition::{MigrationCostConfig, PartitionConfig, RepartitionPolicyKind};
-use actop_runtime::{Cluster, RuntimeConfig};
+use actop_runtime::{AppLogic, Cluster, RuntimeConfig};
 use actop_sim::{Engine, EngineReport, Nanos};
 use actop_workloads::halo::HaloConfig;
 use actop_workloads::{AdversarialConfig, AdversarialWorkload, DemandPattern, HaloWorkload};
@@ -129,7 +129,7 @@ fn run_cell(policy: RepartitionPolicyKind, work: Work, smoke: bool) -> (Row, Eng
             let mut cfg = HaloConfig::paper_scale(2_000, 600.0, duration, seed);
             cfg.game_duration_s = (300.0, 400.0);
             let (app, workload) = HaloWorkload::build(cfg);
-            (app, Some(workload), None)
+            (app as Box<dyn AppLogic>, Some(workload), None)
         }
         Work::Adversarial(pattern) => {
             let (app, workload) =

@@ -20,9 +20,7 @@ use actop_runtime::{
 };
 use actop_sim::{ConservativeRunner, Engine, EngineReport, Nanos};
 use actop_workloads::halo::HaloConfig;
-use actop_workloads::{
-    HaloWorkload, MemoryAudit, ScaleConfig, ShardedHaloWorkload, ShardedScaleWorkload,
-};
+use actop_workloads::{HaloWorkload, MemoryAudit, ScaleConfig, ScaleWorkload};
 
 /// Scale knobs for a Halo scenario run.
 #[derive(Debug, Clone, Copy)]
@@ -489,7 +487,7 @@ pub fn run_halo_sharded(
     let rt = halo_runtime(scenario);
     let cost = rt.cost_attr;
     let lookahead = sharded_lookahead(&rt);
-    let (app, workload) = ShardedHaloWorkload::build(cfg);
+    let (app, workload) = HaloWorkload::build(cfg);
     let worlds = build_sharded(rt, app, shards);
     let threads = worlds.len(); // `build_sharded` clamps to [1, servers].
     let mut runner = ConservativeRunner::new(worlds, lookahead);
@@ -581,7 +579,7 @@ pub fn run_scale(
     let measure = cfg.duration - warmup;
     let lookahead = sharded_lookahead(&rt);
     let shell_rt = rt.clone();
-    let (app, workload) = ShardedScaleWorkload::build(cfg);
+    let (app, workload) = ScaleWorkload::build(cfg);
     let worlds = build_sharded(rt, app, shards);
     let threads = worlds.len();
     let mut runner = ConservativeRunner::new(worlds, lookahead);

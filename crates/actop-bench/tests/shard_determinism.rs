@@ -24,7 +24,7 @@ use actop_runtime::{ClusterMetrics, RuntimeConfig, TraceConfig};
 use actop_sim::{ConservativeRunner, Nanos};
 use actop_verify::{diff_digests, TraceDigest};
 use actop_workloads::halo::HaloConfig;
-use actop_workloads::ShardedHaloWorkload;
+use actop_workloads::HaloWorkload;
 use common::summary_bits;
 use proptest::prelude::*;
 
@@ -79,7 +79,7 @@ struct Outcome {
 fn run_traced(seed: u64, rate: f64, faults: &[Fault], shards: usize, threads: usize) -> Outcome {
     let duration = Nanos::from_secs(2);
     let cfg = HaloConfig::fast_churn(200, rate, duration, seed);
-    let (app, workload) = ShardedHaloWorkload::build(cfg);
+    let (app, workload) = HaloWorkload::build(cfg);
     let mut rt = RuntimeConfig::paper_testbed(seed);
     rt.servers = 6;
     rt.record_remote_call_latency = true;

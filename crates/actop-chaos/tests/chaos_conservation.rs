@@ -22,7 +22,7 @@ struct FanApp {
 }
 
 impl AppLogic for FanApp {
-    fn on_request(&mut self, actor: ActorId, tag: u32, rng: &mut DetRng) -> Reaction {
+    fn on_request(&self, actor: ActorId, tag: u32, rng: &mut DetRng) -> Reaction {
         if tag == 0 || !rng.chance(self.fan_bias as f64 / 255.0) {
             return Reaction::reply(rng.exp(20_000.0), 100);
         }

@@ -24,7 +24,7 @@ const TAG_WRITE: u32 = 1;
 struct FanApp;
 
 impl AppLogic for FanApp {
-    fn on_request(&mut self, actor: ActorId, tag: u32, rng: &mut DetRng) -> Reaction {
+    fn on_request(&self, actor: ActorId, tag: u32, rng: &mut DetRng) -> Reaction {
         if tag < 2 || !rng.chance(0.6) {
             return Reaction::reply(rng.exp(20_000.0), 100);
         }

@@ -453,11 +453,11 @@ mod tests {
     use actop_runtime::app::FixedCostApp;
     use actop_runtime::sharded::install_sharded_hooks;
     use actop_runtime::{
-        build_sharded, sharded_lookahead, ClusterMetrics, PlacementPolicy, RuntimeConfig, ShardApp,
+        build_sharded, sharded_lookahead, AppLogic, ClusterMetrics, PlacementPolicy, RuntimeConfig,
     };
     use actop_workloads::halo::HaloConfig;
     use actop_workloads::scale::TrafficShape;
-    use actop_workloads::{HaloWorkload, ScaleConfig, ShardedHaloWorkload, ShardedScaleWorkload};
+    use actop_workloads::{HaloWorkload, ScaleConfig, ScaleWorkload};
 
     /// The backend a scenario runs on; the sharded one at 1 shard.
     #[derive(Debug, Clone, Copy)]
@@ -478,7 +478,7 @@ mod tests {
         /// A 1-shard runner whose workload `install` schedules.
         fn sharded(
             rt: RuntimeConfig,
-            app: Box<dyn ShardApp>,
+            app: Box<dyn AppLogic + Send + Sync>,
             install: impl FnOnce(&mut ConservativeRunner<ShardedCluster>),
         ) -> Self {
             let lookahead = sharded_lookahead(&rt);
@@ -558,7 +558,7 @@ mod tests {
                 World::Sequential(Box::new(Cluster::new(rt, app)), engine)
             }
             Backend::Sharded => {
-                let (app, workload) = ShardedHaloWorkload::build(cfg);
+                let (app, workload) = HaloWorkload::build(cfg);
                 World::sharded(rt, app, |runner| workload.install(runner))
             }
         };
@@ -697,7 +697,7 @@ mod tests {
             // workload's uniform shape issues the same stream (its
             // handler CPU is exponentially jittered around the mean).
             Backend::Sharded => {
-                let (app, workload) = ShardedScaleWorkload::build(ScaleConfig {
+                let (app, workload) = ScaleWorkload::build(ScaleConfig {
                     players: 1_000,
                     request_rate_per_player: 3.0,
                     write_fraction: 0.0,

@@ -77,9 +77,16 @@ impl Reaction {
 ///
 /// Handlers must be deterministic given the provided RNG stream; all
 /// randomness must come from `rng` so runs stay reproducible.
+///
+/// The handler takes `&self` on both backends. The sequential
+/// [`crate::Cluster`] owns its instance; the sharded backend
+/// ([`crate::build_sharded`]) shares one `Send + Sync` instance among
+/// every shard, so mutable application state (if any) must live behind a
+/// [`actop_sim::PhaseCell`] under the same window discipline as the
+/// directory: written only from serial-phase events, read by handlers.
 pub trait AppLogic {
     /// Handles a request delivered to `actor`.
-    fn on_request(&mut self, actor: ActorId, tag: u32, rng: &mut DetRng) -> Reaction;
+    fn on_request(&self, actor: ActorId, tag: u32, rng: &mut DetRng) -> Reaction;
 
     /// CPU nanoseconds to process one response continuation (gathering a
     /// sub-reply). Defaults to a small fixed cost.
@@ -99,7 +106,7 @@ pub struct FixedCostApp {
 }
 
 impl AppLogic for FixedCostApp {
-    fn on_request(&mut self, _actor: ActorId, _tag: u32, _rng: &mut DetRng) -> Reaction {
+    fn on_request(&self, _actor: ActorId, _tag: u32, _rng: &mut DetRng) -> Reaction {
         Reaction::reply(self.cpu_ns, self.reply_bytes)
     }
 }
@@ -130,7 +137,7 @@ mod tests {
 
     #[test]
     fn fixed_cost_app_replies() {
-        let mut app = FixedCostApp {
+        let app = FixedCostApp {
             cpu_ns: 5_000.0,
             reply_bytes: 100,
         };

@@ -23,13 +23,16 @@
 //!   per-stage latency breakdown (Fig. 4), remote/local message counts,
 //!   migration rates, and CPU utilization.
 //!
-//! Applications implement [`AppLogic`]; workload drivers inject client
-//! requests with [`Cluster::submit_client_request`] from scheduled engine
-//! events. The ActOp controllers (crate `actop-core`) run as periodic
-//! events against one trait, [`AgentHost`], which both backends implement:
-//! [`ClusterHost`] on the sequential [`Cluster`] and [`ShardedHost`] on the
-//! sharded one. Both keep each server's state in the same generic
-//! [`server::Server`].
+//! Applications implement one trait, [`AppLogic`], for both backends:
+//! [`Cluster::new`] takes a boxed instance and [`build_sharded`] a boxed
+//! `Send + Sync` one. Workload drivers inject client requests with
+//! [`Cluster::submit_client_request`] from scheduled engine events (on the
+//! sharded backend, [`sharded::submit_client_request_sharded`] from
+//! serial-phase globals). The ActOp controllers (crate `actop-core`) run
+//! as periodic events against one trait, [`AgentHost`], which both
+//! backends implement: [`ClusterHost`] on the sequential [`Cluster`] and
+//! [`ShardedHost`] on the sharded one. Both keep each server's state in
+//! the same generic [`server::Server`].
 
 pub mod agent;
 pub mod app;
@@ -61,6 +64,6 @@ pub use obs::{DetectorAccuracy, Observability, SloTransition};
 pub use placement::PlacementPolicy;
 pub use sharded::{
     build_sharded, install_replication_sharded, install_sharded_scrapers,
-    install_snapshots_sharded, sharded_lookahead, ShardApp, ShardCtx, ShardTopology,
-    ShardedCluster, ShardedHost,
+    install_snapshots_sharded, sharded_lookahead, ShardCtx, ShardTopology, ShardedCluster,
+    ShardedHost,
 };

@@ -72,7 +72,7 @@ use actop_snapshot::{stragglers, SnapshotConfig, SnapshotStore, StateCell};
 use actop_trace::{HopKind, SpanEvent, Tracer, NO_SERVER, NO_STAGE};
 
 use crate::agent::AgentHost;
-use crate::app::{Call, Outcome, Reaction};
+use crate::app::{AppLogic, Call, Outcome, Reaction};
 use crate::cluster::{StageReport, MAX_FORWARD_HOPS};
 use crate::config::{ReplicationConfig, RuntimeConfig};
 use crate::ids::{ActorId, StageKind};
@@ -102,22 +102,6 @@ impl ShardTopology {
     }
 }
 
-/// Application logic for the sharded backend.
-///
-/// Unlike [`crate::app::AppLogic`] the handler takes `&self`: one instance
-/// is shared by every shard, and mutable application state (if any) must
-/// live behind a [`PhaseCell`] under the same window discipline as the
-/// directory. All randomness must come from the provided per-server stream.
-pub trait ShardApp: Send + Sync {
-    /// Handles a request delivered to `actor`.
-    fn on_request(&self, actor: ActorId, tag: u32, rng: &mut DetRng) -> Reaction;
-
-    /// CPU nanoseconds to process one response continuation.
-    fn continuation_cpu_ns(&self) -> f64 {
-        3_000.0
-    }
-}
-
 /// State shared by every shard: configuration, the placement directory,
 /// and the failure flags. Directory and flags follow the phase discipline:
 /// read-only during windows, mutated only from the serial phase.
@@ -134,7 +118,7 @@ pub struct ShardCtx {
     /// and flushed sorted at barriers, and the round lifecycle mutates it
     /// from the serial phase.
     pub(crate) snap: Option<PhaseCell<SharedSnap>>,
-    pub(crate) app: Box<dyn ShardApp>,
+    pub(crate) app: Box<dyn AppLogic + Send + Sync>,
     pub(crate) seed_mix: u64,
     pub(crate) lookahead_ns: u64,
 }
@@ -455,7 +439,7 @@ pub struct ShardedCluster {
 /// is zero (no conservative lookahead would exist).
 pub fn build_sharded(
     config: RuntimeConfig,
-    app: Box<dyn ShardApp>,
+    app: Box<dyn AppLogic + Send + Sync>,
     shards: usize,
 ) -> Vec<ShardedCluster> {
     config.validate();
@@ -2789,7 +2773,7 @@ mod tests {
     /// Requests fan out to a couple of peer actors; peers reply directly.
     struct FanApp;
 
-    impl ShardApp for FanApp {
+    impl AppLogic for FanApp {
         fn on_request(&self, actor: ActorId, tag: u32, rng: &mut DetRng) -> Reaction {
             if tag == 1 {
                 let fan = 2 + rng.below(2);
@@ -3110,7 +3094,7 @@ mod tests {
     /// Answers every request locally.
     struct ReplyApp;
 
-    impl ShardApp for ReplyApp {
+    impl AppLogic for ReplyApp {
         fn on_request(&self, _actor: ActorId, _tag: u32, _rng: &mut DetRng) -> Reaction {
             Reaction::reply(20_000.0, 200)
         }

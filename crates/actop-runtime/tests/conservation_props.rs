@@ -17,7 +17,7 @@ struct RandomApp {
 }
 
 impl AppLogic for RandomApp {
-    fn on_request(&mut self, actor: ActorId, tag: u32, rng: &mut DetRng) -> Reaction {
+    fn on_request(&self, actor: ActorId, tag: u32, rng: &mut DetRng) -> Reaction {
         // `tag` carries remaining depth.
         if tag == 0 || !rng.chance(self.fan_bias as f64 / 255.0) {
             return Reaction::reply(rng.exp(20_000.0), 100);

@@ -130,7 +130,7 @@ fn recovered_server_takes_new_activations() {
 /// An app whose handler fans out, so joins span the crash.
 struct FanApp;
 impl AppLogic for FanApp {
-    fn on_request(&mut self, actor: ActorId, tag: u32, _rng: &mut DetRng) -> Reaction {
+    fn on_request(&self, actor: ActorId, tag: u32, _rng: &mut DetRng) -> Reaction {
         if tag == 0 {
             let calls = (1..=4)
                 .map(|i| Call {

@@ -23,7 +23,7 @@ struct FanApp {
 }
 
 impl AppLogic for FanApp {
-    fn on_request(&mut self, actor: ActorId, _tag: u32, _rng: &mut DetRng) -> Reaction {
+    fn on_request(&self, actor: ActorId, _tag: u32, _rng: &mut DetRng) -> Reaction {
         if actor.0 == 0 {
             let calls = (1..=self.fan)
                 .map(|i| Call {

@@ -108,7 +108,7 @@ struct AdversarialApp {
 }
 
 impl AppLogic for AdversarialApp {
-    fn on_request(&mut self, actor: ActorId, tag: u32, rng: &mut DetRng) -> Reaction {
+    fn on_request(&self, actor: ActorId, tag: u32, rng: &mut DetRng) -> Reaction {
         if tag == TAG_PEER {
             return Reaction::reply(rng.exp(5_000.0), 200);
         }

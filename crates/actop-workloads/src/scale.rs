@@ -22,7 +22,7 @@
 //! Every shape is a pure function of `(config, sim time, driver RNG)`,
 //! so runs are deterministic and — on the sharded backend — independent
 //! of shard count by construction (the driver owns its RNG streams, as
-//! in [`crate::halo_sharded`]).
+//! the Halo driver in [`crate::halo`] does).
 //!
 //! Requests are single-actor read/write request-replies: `TAG_READ` is
 //! side-effect-free (replica-servable under
@@ -32,21 +32,18 @@
 //! memory footprint of a 1M-player build is real and auditable
 //! ([`MemoryAudit`]).
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use actop_runtime::sharded::{submit_client_request_sharded, ShardedCluster};
-use actop_runtime::{ActorId, AppLogic, Cluster, Outcome, Reaction, ShardApp};
-use actop_sim::{ConservativeRunner, DetRng, Engine, GlobalCtx, Nanos, PhaseCell};
+use actop_runtime::{ActorId, AppLogic, Cluster, Outcome, Reaction};
+use actop_sim::{DetRng, Engine, GlobalCtx, Nanos, PhaseCell};
+
+use crate::{Backend, PUMP_INTERVAL_NS};
 
 /// Read a player's status: side-effect-free, replica-servable.
 pub const TAG_READ: u32 = 0;
 /// Update a player's status: must execute at the primary activation.
 pub const TAG_WRITE: u32 = 1;
-
-/// Width of one request-pump batch on the sharded backend.
-const PUMP_INTERVAL_NS: u64 = 1_000_000;
 
 /// The actor id of player `p` (players are the only actor type here).
 pub fn scale_actor(p: u64) -> ActorId {
@@ -483,57 +480,88 @@ fn scale_reaction(state: &ScaleState, actor: ActorId, tag: u32, rng: &mut DetRng
     }
 }
 
-// ---------------------------------------------------------------------
-// Sequential backend.
-// ---------------------------------------------------------------------
-
+/// The request handler, for either backend.
 struct ScaleApp {
-    state: Rc<RefCell<ScaleState>>,
+    state: Arc<PhaseCell<ScaleState>>,
 }
 
 impl AppLogic for ScaleApp {
-    fn on_request(&mut self, actor: ActorId, tag: u32, rng: &mut DetRng) -> Reaction {
-        scale_reaction(&self.state.borrow(), actor, tag, rng)
+    fn on_request(&self, actor: ActorId, tag: u32, rng: &mut DetRng) -> Reaction {
+        // SAFETY: the slab is never mutated after construction; handlers
+        // only read it, so access from any shard's window is race-free.
+        scale_reaction(unsafe { self.state.get() }, actor, tag, rng)
     }
 }
 
-/// The built scale workload on the sequential backend.
+/// The built scale workload: its driver, for either backend.
 pub struct ScaleWorkload {
-    state: Rc<RefCell<ScaleState>>,
+    state: Arc<PhaseCell<ScaleState>>,
 }
 
+/// The name the sharded callers use for [`ScaleWorkload`], which serves
+/// both backends.
+pub type ShardedScaleWorkload = ScaleWorkload;
+
 impl ScaleWorkload {
-    /// Creates the workload and its application logic.
-    pub fn build(cfg: ScaleConfig) -> (Box<dyn AppLogic>, ScaleWorkload) {
+    /// Creates the workload and its application logic. The app serves
+    /// either backend: [`Cluster::new`] or
+    /// [`actop_runtime::build_sharded`].
+    pub fn build(cfg: ScaleConfig) -> (Box<dyn AppLogic + Send + Sync>, ScaleWorkload) {
         validate_scale_config(&cfg);
-        let state = Rc::new(RefCell::new(ScaleState::new(cfg)));
+        let state = Arc::new(PhaseCell::new(ScaleState::new(cfg)));
         let app = Box::new(ScaleApp {
-            state: Rc::clone(&state),
+            state: Arc::clone(&state),
         });
         (app, ScaleWorkload { state })
     }
 
-    /// The per-player memory accounting of this build.
-    pub fn memory_audit(&self) -> MemoryAudit {
-        self.state.borrow().memory_audit()
+    /// The state, for reading while no event runs.
+    fn idle_state(&self) -> &ScaleState {
+        // SAFETY: the slab is never mutated after construction.
+        unsafe { self.state.get() }
     }
 
-    /// Schedules the open-loop client request stream.
-    pub fn install(&self, engine: &mut Engine<Cluster>) {
-        let cfg = self.state.borrow().cfg;
-        let pump = SeqPump {
+    /// The per-player memory accounting of this build.
+    pub fn memory_audit(&self) -> MemoryAudit {
+        self.idle_state().memory_audit()
+    }
+
+    /// Schedules the open-loop client request stream on either backend.
+    /// The sequential engine gets one event per request; the sharded
+    /// runner gets a batched pump of serial-phase globals: arrivals of
+    /// the next millisecond are pre-drawn with exact timestamps, keeping
+    /// parallel windows wide while the driver's RNG streams stay
+    /// independent of shard count.
+    pub fn install<'a>(&self, backend: impl Into<Backend<'a>>) {
+        let cfg = self.idle_state().cfg;
+        let pump = Pump {
             cfg,
             traffic: ScaleTraffic::new(cfg.shape, cfg.players),
             rng_req: DetRng::stream(cfg.seed, 0x60),
             rng_mix: DetRng::stream(cfg.seed, 0x61),
         };
-        engine.schedule(Nanos::ZERO, move |c: &mut Cluster, e| {
-            request_tick(c, e, pump);
-        });
+        match backend.into() {
+            Backend::Sequential(engine) => {
+                engine.schedule(Nanos::ZERO, move |c: &mut Cluster, e| {
+                    request_tick(c, e, pump);
+                });
+            }
+            Backend::Sharded(runner) => {
+                let batch = Batch {
+                    pump,
+                    rng_gateway: DetRng::stream(cfg.seed, 0x62),
+                    rng_net: DetRng::stream(cfg.seed, 0x63),
+                    next_at: Nanos::ZERO,
+                    next_request: 0,
+                };
+                runner.schedule_global(Nanos::ZERO, move |ctx| request_pump(batch, ctx));
+            }
+        }
     }
 }
 
-struct SeqPump {
+/// The request stream's draws, shared by both backends' pumps.
+struct Pump {
     cfg: ScaleConfig,
     traffic: ScaleTraffic,
     /// Target picks and inter-arrival gaps.
@@ -542,19 +570,33 @@ struct SeqPump {
     rng_mix: DetRng,
 }
 
-fn request_tick(cluster: &mut Cluster, engine: &mut Engine<Cluster>, mut pump: SeqPump) {
+impl Pump {
+    /// The target and tag of the request issued at `at`.
+    fn request(&mut self, at: Nanos) -> (ActorId, u32) {
+        let player = self.traffic.pick(at, &mut self.rng_req);
+        let tag = if self.rng_mix.chance(self.cfg.write_fraction) {
+            TAG_WRITE
+        } else {
+            TAG_READ
+        };
+        (scale_actor(player), tag)
+    }
+
+    /// The gap from the request issued at `at` to the next one.
+    fn gap(&mut self, at: Nanos) -> Nanos {
+        let rate = self.cfg.players as f64
+            * self.cfg.request_rate_per_player
+            * self.traffic.rate_multiplier(at);
+        Nanos::from_secs_f64(self.rng_req.exp(1.0 / rate))
+    }
+}
+
+/// The sequential backend's request stream: one engine event per request.
+fn request_tick(cluster: &mut Cluster, engine: &mut Engine<Cluster>, mut pump: Pump) {
     let now = engine.now();
-    let player = pump.traffic.pick(now, &mut pump.rng_req);
-    let tag = if pump.rng_mix.chance(pump.cfg.write_fraction) {
-        TAG_WRITE
-    } else {
-        TAG_READ
-    };
-    cluster.submit_client_request(engine, scale_actor(player), tag, pump.cfg.request_bytes);
-    let rate = pump.cfg.players as f64
-        * pump.cfg.request_rate_per_player
-        * pump.traffic.rate_multiplier(now);
-    let gap = Nanos::from_secs_f64(pump.rng_req.exp(1.0 / rate));
+    let (actor, tag) = pump.request(now);
+    cluster.submit_client_request(engine, actor, tag, pump.cfg.request_bytes);
+    let gap = pump.gap(now);
     if now + gap < pump.cfg.duration {
         engine.schedule_after(gap, move |c: &mut Cluster, e| {
             request_tick(c, e, pump);
@@ -562,80 +604,10 @@ fn request_tick(cluster: &mut Cluster, engine: &mut Engine<Cluster>, mut pump: S
     }
 }
 
-// ---------------------------------------------------------------------
-// Sharded backend.
-// ---------------------------------------------------------------------
-
-struct ShardScaleApp {
-    state: Arc<PhaseCell<ScaleState>>,
-}
-
-impl ShardApp for ShardScaleApp {
-    fn on_request(&self, actor: ActorId, tag: u32, rng: &mut DetRng) -> Reaction {
-        // SAFETY: the slab is never mutated after construction; handlers
-        // only read it, so window-phase access is race-free.
-        scale_reaction(unsafe { self.state.get() }, actor, tag, rng)
-    }
-
-    fn continuation_cpu_ns(&self) -> f64 {
-        // Request/reply only — no fan-out, so never consulted.
-        0.0
-    }
-}
-
-/// The built scale workload on the sharded backend.
-pub struct ShardedScaleWorkload {
-    state: Arc<PhaseCell<ScaleState>>,
-}
-
-impl ShardedScaleWorkload {
-    /// Creates the workload and its application logic.
-    pub fn build(cfg: ScaleConfig) -> (Box<dyn ShardApp>, ShardedScaleWorkload) {
-        validate_scale_config(&cfg);
-        let state = Arc::new(PhaseCell::new(ScaleState::new(cfg)));
-        let app = Box::new(ShardScaleApp {
-            state: Arc::clone(&state),
-        });
-        (app, ShardedScaleWorkload { state })
-    }
-
-    /// The per-player memory accounting of this build. Call only while
-    /// the runner is idle.
-    pub fn memory_audit(&self) -> MemoryAudit {
-        // SAFETY: no window phase is live while the runner is idle.
-        unsafe { self.state.get() }.memory_audit()
-    }
-
-    /// Schedules the batched client request pump as a serial-phase
-    /// global, exactly as [`crate::halo_sharded`] does: arrivals of the
-    /// next millisecond are pre-drawn with exact timestamps, keeping
-    /// parallel windows wide while the driver's RNG streams stay
-    /// independent of shard count.
-    pub fn install(&self, runner: &mut ConservativeRunner<ShardedCluster>) {
-        // SAFETY: the runner has not started; we have exclusive access.
-        let cfg = unsafe { self.state.get() }.cfg;
-        let pump = ShardPump {
-            cfg,
-            traffic: ScaleTraffic::new(cfg.shape, cfg.players),
-            rng_req: DetRng::stream(cfg.seed, 0x60),
-            rng_mix: DetRng::stream(cfg.seed, 0x61),
-            rng_gateway: DetRng::stream(cfg.seed, 0x62),
-            rng_net: DetRng::stream(cfg.seed, 0x63),
-            next_at: Nanos::ZERO,
-            next_request: 0,
-        };
-        runner.schedule_global(Nanos::ZERO, move |ctx| request_pump(pump, ctx));
-    }
-}
-
-/// Everything the self-rescheduling request pump carries between batches.
-struct ShardPump {
-    cfg: ScaleConfig,
-    traffic: ScaleTraffic,
-    /// Target picks and inter-arrival gaps.
-    rng_req: DetRng,
-    /// Read/write choice per request.
-    rng_mix: DetRng,
+/// Everything the sharded backend's self-rescheduling pump carries
+/// between batches.
+struct Batch {
+    pump: Pump,
     /// Gateway selection per request.
     rng_gateway: DetRng,
     /// Client-to-gateway network delay per request.
@@ -646,36 +618,28 @@ struct ShardPump {
     next_request: u64,
 }
 
-/// The open-loop client request stream, one batch per call.
-fn request_pump(mut pump: ShardPump, ctx: &mut GlobalCtx<'_, ShardedCluster>) {
+/// The sharded backend's request stream, one batch per call.
+fn request_pump(mut batch: Batch, ctx: &mut GlobalCtx<'_, ShardedCluster>) {
     let batch_end = ctx.now + Nanos::from_nanos(PUMP_INTERVAL_NS);
-    while pump.next_at < batch_end && pump.next_at < pump.cfg.duration {
-        let player = pump.traffic.pick(pump.next_at, &mut pump.rng_req);
-        let tag = if pump.rng_mix.chance(pump.cfg.write_fraction) {
-            TAG_WRITE
-        } else {
-            TAG_READ
-        };
-        let request = pump.next_request;
-        pump.next_request += 1;
+    let duration = batch.pump.cfg.duration;
+    while batch.next_at < batch_end && batch.next_at < duration {
+        let (actor, tag) = batch.pump.request(batch.next_at);
+        let request = batch.next_request;
+        batch.next_request += 1;
         submit_client_request_sharded(
             ctx,
-            pump.next_at,
-            scale_actor(player),
+            batch.next_at,
+            actor,
             tag,
-            pump.cfg.request_bytes,
+            batch.pump.cfg.request_bytes,
             request,
-            &mut pump.rng_gateway,
-            &mut pump.rng_net,
+            &mut batch.rng_gateway,
+            &mut batch.rng_net,
         );
-        let rate = pump.cfg.players as f64
-            * pump.cfg.request_rate_per_player
-            * pump.traffic.rate_multiplier(pump.next_at);
-        let gap = Nanos::from_secs_f64(pump.rng_req.exp(1.0 / rate));
-        pump.next_at += gap;
+        batch.next_at += batch.pump.gap(batch.next_at);
     }
-    if pump.next_at < pump.cfg.duration {
-        ctx.schedule_global(batch_end, move |ctx| request_pump(pump, ctx));
+    if batch.next_at < duration {
+        ctx.schedule_global(batch_end, move |ctx| request_pump(batch, ctx));
     }
 }
 
@@ -684,6 +648,7 @@ mod tests {
     use super::*;
     use actop_runtime::sharded::{build_sharded, install_sharded_hooks, sharded_lookahead};
     use actop_runtime::{ClusterMetrics, RuntimeConfig};
+    use actop_sim::ConservativeRunner;
 
     fn small_cfg(shape: TrafficShape) -> ScaleConfig {
         let mut cfg = ScaleConfig::base(2_000, Nanos::from_secs(2), 11, shape);
@@ -932,7 +897,7 @@ mod tests {
         assert!(cluster.metrics.submitted > 500);
         assert_eq!(cluster.metrics.completed, cluster.metrics.submitted);
 
-        let (app, workload) = ShardedScaleWorkload::build(cfg);
+        let (app, workload) = ScaleWorkload::build(cfg);
         assert_eq!(workload.memory_audit().slab_bytes, 0);
         let rt = RuntimeConfig::paper_testbed(11);
         let series_bin = rt.series_bin_ns;
@@ -984,7 +949,7 @@ mod tests {
                 exponent: 1.2,
                 celebrity_share: 0.7,
             });
-            let (app, workload) = ShardedScaleWorkload::build(cfg);
+            let (app, workload) = ScaleWorkload::build(cfg);
             let rt = RuntimeConfig::paper_testbed(11);
             let series_bin = rt.series_bin_ns;
             let lookahead = sharded_lookahead(&rt);

@@ -75,7 +75,7 @@ struct UniformApp {
 }
 
 impl AppLogic for UniformApp {
-    fn on_request(&mut self, _actor: ActorId, _tag: u32, rng: &mut DetRng) -> Reaction {
+    fn on_request(&self, _actor: ActorId, _tag: u32, rng: &mut DetRng) -> Reaction {
         // Exponential service-time jitter around the configured mean.
         Reaction {
             cpu_ns: rng.exp(self.cpu_ns),

@@ -25,7 +25,7 @@ struct ChatApp {
 }
 
 impl AppLogic for ChatApp {
-    fn on_request(&mut self, actor: ActorId, tag: u32, rng: &mut DetRng) -> Reaction {
+    fn on_request(&self, actor: ActorId, tag: u32, rng: &mut DetRng) -> Reaction {
         match tag {
             TAG_POST => {
                 *self.posts.borrow_mut() += 1;

@@ -73,3 +73,8 @@ pub mod prelude {
     pub use actop_sim::{CostModel, DetRng, Engine, Nanos};
     pub use actop_workloads::{HaloConfig, HaloWorkload, UniformConfig, UniformWorkload};
 }
+
+/// Compiles the README's Rust snippets as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
