@@ -232,3 +232,29 @@ fn snapshot_runs_are_deterministic() {
     };
     assert_eq!(run(), run());
 }
+
+/// A server that stays down through later rounds is outside their cuts:
+/// no link to or from it is a channel of the cut, so the messages ever
+/// sent to it must not read as in flight. Before in-flight counted only
+/// channels between marked servers, every round after the crash added
+/// the crashed server's whole receive history (~55 per round here).
+#[test]
+fn in_flight_counts_only_channels_inside_the_cut() {
+    let run = |crash: bool| {
+        let mut cluster = Cluster::new(config(4, 2), app());
+        let mut engine: Engine<Cluster> = Engine::new();
+        cluster.install_snapshots(&mut engine, Nanos::from_millis(600));
+        stream_writes(&mut engine, 60, 1_000, Nanos::from_micros(500), 2);
+        if crash {
+            engine.schedule(Nanos::from_millis(200), |c: &mut Cluster, e| {
+                c.fail_server(e, 2);
+            });
+        }
+        engine.run(&mut cluster);
+        let m = &cluster.metrics;
+        assert!(m.snap_rounds_completed >= 10, "{}", m.snap_rounds_completed);
+        m.snap_inflight
+    };
+    assert_eq!(run(false), 2, "healthy run");
+    assert_eq!(run(true), 3, "crashed run");
+}
