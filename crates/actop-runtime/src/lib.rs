@@ -46,6 +46,7 @@ pub mod placement;
 pub(crate) mod proto;
 pub mod server;
 pub mod sharded;
+mod snapshot;
 pub mod table;
 
 pub use actop_partition::{
