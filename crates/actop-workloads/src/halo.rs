@@ -21,6 +21,7 @@
 //! minute.
 
 use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use actop_runtime::sharded::{submit_client_request_sharded, ShardedCluster};
@@ -377,8 +378,20 @@ fn validate_config(cfg: &HaloConfig) {
 type Shared = Arc<PhaseCell<HaloState>>;
 
 /// The built Halo Presence workload: its driver, for either backend.
+///
+/// Neither `Send` nor `Sync`: [`Self::stats`] and the live counts read
+/// state that a sharded run writes, so the handle stays on the thread
+/// that drives the run and cannot be read while it runs.
+///
+/// ```compile_fail
+/// fn send<T: Send>() {} send::<actop_workloads::HaloWorkload>();
+/// ```
+/// ```compile_fail
+/// fn sync<T: Sync>() {} sync::<actop_workloads::HaloWorkload>();
+/// ```
 pub struct HaloWorkload {
     state: Shared,
+    _thread_bound: PhantomData<*const ()>,
 }
 
 /// The request handlers, for either backend.
@@ -455,7 +468,11 @@ impl HaloWorkload {
             state: Arc::clone(&state),
             continuation_cpu_ns: cfg.continuation_cpu_ns,
         });
-        (app, HaloWorkload { state })
+        let workload = HaloWorkload {
+            state,
+            _thread_bound: PhantomData,
+        };
+        (app, workload)
     }
 
     /// The lifecycle state, for reading while no event runs.

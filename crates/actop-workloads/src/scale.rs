@@ -32,6 +32,7 @@
 //! memory footprint of a 1M-player build is real and auditable
 //! ([`MemoryAudit`]).
 
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use actop_runtime::sharded::{submit_client_request_sharded, ShardedCluster};
@@ -494,8 +495,19 @@ impl AppLogic for ScaleApp {
 }
 
 /// The built scale workload: its driver, for either backend.
+///
+/// Neither `Send` nor `Sync`, like [`crate::HaloWorkload`]: its idle-only
+/// reader [`Self::memory_audit`] stays on the thread that drives the run.
+///
+/// ```compile_fail
+/// fn send<T: Send>() {} send::<actop_workloads::ScaleWorkload>();
+/// ```
+/// ```compile_fail
+/// fn sync<T: Sync>() {} sync::<actop_workloads::ScaleWorkload>();
+/// ```
 pub struct ScaleWorkload {
     state: Arc<PhaseCell<ScaleState>>,
+    _thread_bound: PhantomData<*const ()>,
 }
 
 /// The name the sharded callers use for [`ScaleWorkload`], which serves
@@ -512,7 +524,11 @@ impl ScaleWorkload {
         let app = Box::new(ScaleApp {
             state: Arc::clone(&state),
         });
-        (app, ScaleWorkload { state })
+        let workload = ScaleWorkload {
+            state,
+            _thread_bound: PhantomData,
+        };
+        (app, workload)
     }
 
     /// The state, for reading while no event runs.
