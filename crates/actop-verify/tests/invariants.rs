@@ -3,9 +3,10 @@
 //! export round-trips to the same verdict, and deliberately corrupted
 //! variants of the same trace are rejected with precise reports.
 
-use actop_chaos::{install_plan, FaultPlan};
+use actop_chaos::{install_plan, CrashWindows, FaultPlan};
 use actop_core::experiment::run_steady_state;
-use actop_runtime::{Cluster, DetectorConfig, RuntimeConfig, TraceConfig};
+use actop_runtime::app::FixedCostApp;
+use actop_runtime::{ActorId, Cluster, DetectorConfig, RuntimeConfig, TraceConfig};
 use actop_sim::{Engine, Nanos};
 use actop_trace::{spans_jsonl, HopKind, SpanEvent};
 use actop_verify::{check_events, check_jsonl, CheckerConfig};
@@ -176,4 +177,73 @@ fn fault_free_run_needs_no_crash_windows() {
     for kind in ["server-fail", "suspect", "retry", "shed", "timeout"] {
         assert_eq!(report.kind_count(kind), 0, "unexpected {kind} events");
     }
+}
+
+/// A hot-actor split whose transfer window a crash of either endpoint
+/// cuts: the split aborts cleanly. Actor 7 sits on server 0 and starts
+/// splitting to server 1 at 1 ms with a 50 ms transfer window; server
+/// `crashed` dies at 20 ms, inside the window. One `SplitAbort` (primary
+/// 0, destination 1) and no `Split`, no replica and nothing in flight.
+fn aborted_split(crashed: usize) {
+    let mut rt = RuntimeConfig::paper_testbed(7);
+    rt.servers = 3;
+    rt.migration_transfer = Some(Nanos::from_millis(50));
+    rt.trace = Some(TraceConfig::default());
+    let app = FixedCostApp {
+        cpu_ns: 30_000.0,
+        reply_bytes: 200,
+    };
+    let mut cluster = Cluster::new(rt, Box::new(app));
+    cluster.directory.place(7, 0);
+    let mut engine: Engine<Cluster> = Engine::new();
+    engine.schedule(Nanos::from_millis(1), |c: &mut Cluster, e| {
+        c.split_actor(e, e.now(), ActorId(7), 1);
+        assert_eq!(c.splits_in_flight(), 1);
+    });
+    engine.schedule(Nanos::from_millis(20), move |c: &mut Cluster, e| {
+        c.fail_server(e, crashed);
+    });
+    engine.run(&mut cluster);
+
+    assert_eq!(cluster.metrics.splits_aborted, 1);
+    assert_eq!(cluster.metrics.splits, 0);
+    assert_eq!(cluster.splits_in_flight(), 0);
+    assert!(cluster.directory.replicas_of(7).is_empty());
+    let aborts: Vec<(u32, u64)> = cluster
+        .trace
+        .spans()
+        .iter()
+        .filter(|s| s.kind == HopKind::SplitAbort)
+        .map(|s| (s.server, s.aux))
+        .collect();
+    assert_eq!(aborts, [(0, 1)]);
+    let cfg = CheckerConfig {
+        crash_windows: CrashWindows {
+            windows: (0..3)
+                .map(|s| {
+                    if s == crashed {
+                        vec![(Nanos::from_millis(20), Nanos::from_secs(1))]
+                    } else {
+                        Vec::new()
+                    }
+                })
+                .collect(),
+        },
+        migration_transfer: Some(Nanos::from_millis(50)),
+        ..CheckerConfig::default()
+    };
+    let report = check_events(cluster.trace.spans(), &cfg);
+    assert!(report.is_clean(), "violations: {:?}", report.violations);
+    assert_eq!(report.kind_count("split"), 0);
+    assert_eq!(report.kind_count("split-abort"), 1);
+}
+
+#[test]
+fn split_aborts_when_its_destination_crashes() {
+    aborted_split(1);
+}
+
+#[test]
+fn split_aborts_when_its_primary_crashes() {
+    aborted_split(0);
 }
