@@ -1,8 +1,9 @@
-//! The seam the ActOp agents run against: one trait both simulation
-//! backends implement ([`crate::ClusterHost`], [`crate::ShardedHost`]), so
-//! each agent (crate `actop-core`) is written once.
+//! The seam the ActOp agents and the replication controller run against:
+//! one trait both simulation backends implement ([`crate::ClusterHost`],
+//! [`crate::ShardedHost`]), so each agent (crate `actop-core`) and the
+//! controller round are written once.
 
-use actop_partition::{PartitionView, PolicyHost};
+use actop_partition::{DenseDirectory, PartitionView, PolicyHost};
 use actop_sim::Nanos;
 
 use crate::ids::ActorId;
@@ -10,8 +11,8 @@ use crate::server::StageReport;
 
 /// A backend as one agent tick sees it, at one simulated instant (control
 /// work is instantaneous): the clock, the repartitioning surface
-/// ([`PolicyHost`]), sketch aging, and each server's SEDA measurements and
-/// thread controls.
+/// ([`PolicyHost`]), sketch aging, each server's SEDA measurements and
+/// thread controls, and the replication controller's surface.
 pub trait AgentHost: PolicyHost<ActorId> {
     /// The simulated time the tick runs at.
     fn now(&self) -> Nanos;
@@ -38,4 +39,21 @@ pub trait AgentHost: PolicyHost<ActorId> {
 
     /// Reconfigures a server's per-stage thread allocation, in stage order.
     fn set_stage_threads(&mut self, server: usize, allocation: [usize; 4]);
+
+    /// `server`'s split candidates with their guaranteed load this window
+    /// (see `Server::take_split_candidates`); resets the window.
+    fn take_split_candidates(&mut self, server: usize, min_load_ns: u64) -> Vec<(u64, u64)>;
+
+    /// The actor directory, for replica reads.
+    fn directory(&self) -> &DenseDirectory;
+
+    /// Whether `observer` distrusts `peer`: suspicion where a failure
+    /// detector runs, ground truth otherwise.
+    fn suspects(&mut self, observer: usize, peer: usize) -> bool;
+
+    /// Adds a read replica of `actor` on `to` (a hot-actor split).
+    fn split(&mut self, actor: ActorId, to: usize);
+
+    /// Drops the replica activation of `actor` on `server`, if present.
+    fn drop_replica(&mut self, actor: ActorId, server: usize);
 }

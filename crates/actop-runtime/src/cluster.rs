@@ -10,10 +10,8 @@
 //! a runtime extension rather than application code.
 
 use actop_metrics::TimelineSample;
-use actop_partition::{
-    decide_split, CostSignals, DenseDirectory, PartitionView, PolicyHost, SplitDecision, ViewScope,
-};
-use actop_sim::{mix64, start_next, CostAttr, DetRng, Engine, Nanos, StagePool, Subsystem};
+use actop_partition::{CostSignals, DenseDirectory, PartitionView, PolicyHost, ViewScope};
+use actop_sim::{start_next, CostAttr, DetRng, Engine, Nanos, StagePool, Subsystem};
 use actop_sketch::fxmap::{fx_map_with_capacity, FxHashMap};
 use actop_snapshot::{LinkCounters, SnapshotState, SnapshotStore, StateCell, Touch};
 use actop_trace::{HopKind, SpanEvent, Tracer, NO_SERVER, NO_STAGE, PROC_LABEL, QUEUE_LABEL};
@@ -23,14 +21,18 @@ use crate::app::{AppLogic, Call, Outcome, Reaction};
 use crate::config::{HiccupModel, ReplicationConfig, RuntimeConfig};
 use crate::detector::{DetectorConfig, FailureDetector, Transition};
 use crate::ids::{ActorId, CallId, RequestId, StageKind};
-use crate::metrics::ClusterMetrics;
+use crate::metrics::{Accounting, ClusterMetrics};
 use crate::obs::{DetectorAccuracy, Observability, SloTransition};
 use crate::proto::{
     Message, MsgKind, PendingJoin, PostAction, ReplyTarget, RequestMeta, RunningTask, StageItem,
 };
+use crate::replication::{
+    crash_drops, hash, note_replica_drop, note_replica_request, note_split, rendezvous,
+    replica_admits, replication_round,
+};
 use crate::server::Server;
 pub use crate::server::StageReport;
-use crate::snapshot::{note_abort, note_begin, note_marker, note_sweep, note_touch, SnapHost};
+use crate::snapshot::{note_abort, note_begin, note_marker, note_sweep, note_touch};
 use crate::table::SlabTable;
 
 // Breakdown component labels (Fig. 4) are shared with the trace exporter's
@@ -527,39 +529,23 @@ impl Cluster {
             StageItem::Execute(msg) => {
                 let primary = self.directory.server_of(msg.to.0) == Some(server);
                 let mut hosted = primary;
-                if !hosted
-                    && self.config.replication.is_some()
-                    && self.directory.replica_hosted(msg.to.0, server)
-                {
+                if !hosted {
                     // A replica activation: read-tagged requests and join
                     // continuations execute here; writes fall through to
                     // the forward path (primary-routed).
-                    hosted = match msg.kind {
-                        MsgKind::Request { .. } => {
-                            let read = self
-                                .config
-                                .replication
-                                .as_ref()
-                                .expect("checked above")
-                                .is_read(u64::from(msg.tag));
-                            if read {
-                                self.metrics.replica_reads += 1;
-                                if self.trace.enabled() {
-                                    self.record_span(SpanEvent::instant(
-                                        msg.request.0,
-                                        HopKind::ReplicaRead,
-                                        server as u32,
-                                        msg.to.0,
-                                        now,
-                                    ));
-                                }
-                            } else {
-                                self.metrics.replica_writes += 1;
+                    let replication = self.config.replication.as_ref();
+                    if let Some(read) =
+                        replica_admits(replication, &self.directory, msg.to.0, server, msg.tag)
+                    {
+                        hosted = match msg.kind {
+                            MsgKind::Request { .. } => {
+                                let (request, actor) = (msg.request.0, msg.to.0);
+                                note_replica_request(self, now, server, request, actor, read);
+                                read
                             }
-                            read
-                        }
-                        MsgKind::Response { .. } => true,
-                    };
+                            MsgKind::Response { .. } => true,
+                        };
+                    }
                 }
                 if !hosted {
                     return (
@@ -1158,14 +1144,11 @@ impl Cluster {
     /// actor. `None` when the actor is unsplit (or no candidate survives
     /// suspicion filtering) — the caller falls back to `resolve`.
     ///
-    /// Selection is a pure hash of `(request, actor, candidate)`: each
-    /// request lands on a stable activation (forward chains terminate) and
-    /// the population of requests spreads near-uniformly, with no RNG
-    /// stream drawn — replication-off runs stay byte-identical.
-    ///
     /// Liveness is the origin's *suspicion*, exactly as in `resolve`: a
     /// suspected replica is dropped from the directory at routing time —
-    /// the replica-set mirror of the `DirRepair` path for primaries.
+    /// the replica-set mirror of the `DirRepair` path for primaries. The
+    /// sorted replica slice is walked by index, so a read allocates
+    /// nothing.
     fn route_read(
         &mut self,
         now: Nanos,
@@ -1174,43 +1157,26 @@ impl Cluster {
         origin: usize,
     ) -> Option<usize> {
         let primary = self.directory.server_of(actor.0)?;
-        let reps = self.directory.replicas_of(actor.0);
-        if reps.is_empty() {
+        if self.directory.replicas_of(actor.0).is_empty() {
             return None;
         }
-        let reps: Vec<u32> = reps.to_vec();
-        let mut candidates: Vec<u32> = Vec::with_capacity(reps.len() + 1);
-        if origin == primary || !self.suspects(origin, primary, now) {
-            candidates.push(primary as u32);
-        }
-        for r in reps {
-            let rs = r as usize;
-            if origin != rs && self.suspects(origin, rs, now) {
-                self.directory.drop_replica(actor.0, rs);
-                self.metrics.replica_drops += 1;
-                if self.trace.enabled() {
-                    // Lifecycle event: `request` carries the actor id,
-                    // `server` the primary, `aux` the dropped replica.
-                    self.record_span(SpanEvent::instant(
-                        actor.0,
-                        HopKind::ReplicaDrop,
-                        primary as u32,
-                        u64::from(r),
-                        now,
-                    ));
-                }
+        let primary_trusted = origin == primary || !self.suspects(origin, primary, now);
+        let mut next = 0;
+        let replicas = std::iter::from_fn(|| loop {
+            let r = *self.directory.replicas_of(actor.0).get(next)?;
+            if origin != r as usize && self.suspects(origin, r as usize, now) {
+                self.directory.drop_replica(actor.0, r as usize);
+                note_replica_drop(self, now, actor.0, primary as u32, r);
             } else {
-                candidates.push(r);
+                next += 1;
+                return Some(r);
             }
-        }
-        if candidates.is_empty() {
-            return None;
-        }
-        let salt = mix64(request.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ actor.0);
-        candidates
+        });
+        let candidates = primary_trusted
+            .then_some(primary as u32)
             .into_iter()
-            .max_by_key(|&c| mix64(salt ^ (u64::from(c) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
-            .map(|c| c as usize)
+            .chain(replicas);
+        rendezvous(hash(actor.0, request.0), candidates).map(|c| c as usize)
     }
 
     /// Resolves the hosting server for `actor`, activating it if needed:
@@ -1595,19 +1561,8 @@ impl Cluster {
     /// Commits a split: the replica activation appears in the directory
     /// and rendezvous routing starts spreading reads over it.
     fn commit_split(&mut self, now: Nanos, actor: ActorId, from: usize, to: usize) {
-        if self.trace.enabled() {
-            // Lifecycle event: `request` carries the actor id, `server`
-            // the primary, `aux` the replica's server.
-            self.record_span(SpanEvent::instant(
-                actor.0,
-                HopKind::Split,
-                from as u32,
-                to as u64,
-                now,
-            ));
-        }
+        note_split(self, now, actor.0, from as u32, to as u32);
         self.directory.add_replica(actor.0, to);
-        self.metrics.splits += 1;
     }
 
     /// Drops the replica activation of `actor` on `server` (a no-op when
@@ -1615,17 +1570,8 @@ impl Cluster {
     pub fn drop_replica_actor(&mut self, now: Nanos, actor: ActorId, server: usize) {
         let primary = self.directory.server_of(actor.0);
         if self.directory.drop_replica(actor.0, server) {
-            self.metrics.replica_drops += 1;
-            if self.trace.enabled() {
-                // Lifecycle event: same field conventions as `Split`.
-                self.record_span(SpanEvent::instant(
-                    actor.0,
-                    HopKind::ReplicaDrop,
-                    primary.map_or(NO_SERVER, |p| p as u32),
-                    server as u64,
-                    now,
-                ));
-            }
+            let primary = primary.map_or(NO_SERVER, |p| p as u32);
+            note_replica_drop(self, now, actor.0, primary, server as u32);
         }
     }
 
@@ -1775,76 +1721,6 @@ impl Cluster {
             let phase = Nanos::from_nanos(rep.check_interval.as_nanos() * server as u64 / n as u64);
             schedule_replication_tick(engine, server, rep, fx_map_with_capacity(0), phase, horizon);
         }
-    }
-
-    /// One split-detection tick on `server`: scan the window's load
-    /// sketch, decide split/drop/hold per hot actor primaried here, and
-    /// reset the window. `cooldowns` carries each actor's
-    /// no-decisions-before time across ticks.
-    fn replication_tick(
-        &mut self,
-        engine: &mut Engine<Cluster>,
-        server: usize,
-        rep: &ReplicationConfig,
-        cooldowns: &mut FxHashMap<u64, Nanos>,
-    ) {
-        if self.failed[server] {
-            return; // Sketch state died with the process; nothing to scan.
-        }
-        let now = engine.now();
-        let window_capacity_ns =
-            rep.check_interval.as_nanos() * self.config.costs.cores_per_server as u64;
-        let candidates = self.servers[server].split_candidates(&self.directory, rep.min_load_ns);
-        for a in candidates {
-            if cooldowns.get(&a).is_some_and(|&until| now < until) {
-                continue;
-            }
-            let observed = self.servers[server].load_sketch.lower_bound(&ActorId(a));
-            let replicas = self.directory.replicas_of(a).len();
-            match decide_split(&rep.thresholds, observed, window_capacity_ns, replicas) {
-                SplitDecision::Split => {
-                    if let Some(to) = self.split_target(a, replicas, now, server) {
-                        self.split_actor(engine, now, ActorId(a), to);
-                        cooldowns.insert(a, now + rep.cooldown);
-                    }
-                }
-                SplitDecision::Drop => {
-                    // Deterministic victim: the highest replica server id.
-                    if let Some(&victim) = self.directory.replicas_of(a).last() {
-                        self.drop_replica_actor(now, ActorId(a), victim as usize);
-                        cooldowns.insert(a, now + rep.cooldown);
-                    }
-                }
-                SplitDecision::Hold => {}
-            }
-        }
-        self.servers[server].load_sketch.clear();
-    }
-
-    /// Picks the replica destination for a split of `a` by rendezvous
-    /// over the eligible servers (not the primary, not already a replica,
-    /// not distrusted by the primary), keyed by the current replica count
-    /// so successive splits spread deterministically.
-    fn split_target(
-        &mut self,
-        a: u64,
-        replicas: usize,
-        now: Nanos,
-        primary: usize,
-    ) -> Option<usize> {
-        let salt = mix64(a ^ (replicas as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut best: Option<(u64, usize)> = None;
-        for c in 0..self.servers.len() {
-            if c == primary || self.directory.replica_hosted(a, c) || self.suspects(primary, c, now)
-            {
-                continue;
-            }
-            let score = mix64(salt ^ (c as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            if best.is_none_or(|(s, _)| score > s) {
-                best = Some((score, c));
-            }
-        }
-        best.map(|(_, c)| c)
     }
 
     // ------------------------------------------------------------------
@@ -2236,65 +2112,18 @@ impl Cluster {
             self.trace
                 .flight_dump(HopKind::ServerFail, 0, server as u32, at);
         }
-        // Abort in-flight migrations touching the crashed server: the
-        // transfer dies with an endpoint and the actor stays at its source
-        // (where the source's own directory entry still points).
-        if !self.migrations_in_flight.is_empty() {
-            let mut aborted: Vec<u64> = self
-                .migrations_in_flight
-                .iter()
-                .filter(|&(_, &(from, to))| from as usize == server || to as usize == server)
-                .map(|(&actor, _)| actor)
-                .collect();
-            aborted.sort_unstable(); // Deterministic abort/trace order.
-            for actor in aborted {
-                let (from, to) = self
-                    .migrations_in_flight
-                    .remove(&actor)
-                    .expect("collected above");
-                self.metrics.migrations_aborted += 1;
-                if self.trace.enabled() {
-                    // Lifecycle event: `request` carries the actor id,
-                    // `server` the source, `aux` the destination.
-                    self.record_span(SpanEvent::instant(
-                        actor,
-                        HopKind::MigrationAbort,
-                        from,
-                        u64::from(to),
-                        at,
-                    ));
-                }
-            }
+        // Abort in-flight migrations and splits touching the crashed
+        // server: the transfer dies with an endpoint, the actor stays at its
+        // source (where the source's own directory entry still points) and
+        // no replica ever appears. Lifecycle events: `request` carries the
+        // actor id, `server` the source, `aux` the destination.
+        for (actor, from, to) in take_transfers(&mut self.migrations_in_flight, server) {
+            self.metrics.migrations_aborted += 1;
+            self.instant(actor, HopKind::MigrationAbort, from, u64::from(to), at);
         }
-        // Abort in-flight splits touching the crashed server, with the
-        // same discipline: the transfer dies with an endpoint and no
-        // replica ever appears.
-        if !self.splits_in_flight.is_empty() {
-            let mut aborted: Vec<u64> = self
-                .splits_in_flight
-                .iter()
-                .filter(|&(_, &(from, to))| from as usize == server || to as usize == server)
-                .map(|(&actor, _)| actor)
-                .collect();
-            aborted.sort_unstable(); // Deterministic abort/trace order.
-            for actor in aborted {
-                let (from, to) = self
-                    .splits_in_flight
-                    .remove(&actor)
-                    .expect("collected above");
-                self.metrics.splits_aborted += 1;
-                if self.trace.enabled() {
-                    // Lifecycle event: `request` carries the actor id,
-                    // `server` the primary, `aux` the replica destination.
-                    self.record_span(SpanEvent::instant(
-                        actor,
-                        HopKind::SplitAbort,
-                        from,
-                        u64::from(to),
-                        at,
-                    ));
-                }
-            }
+        for (actor, from, to) in take_transfers(&mut self.splits_in_flight, server) {
+            self.metrics.splits_aborted += 1;
+            self.instant(actor, HopKind::SplitAbort, from, u64::from(to), at);
         }
         // Snapshots: the dead server's cells die and the open round aborts.
         if let Some(id) = self.snap.as_mut().and_then(|snap| snap.crash(server)) {
@@ -2308,20 +2137,11 @@ impl Cluster {
         // suspicion repairs them, which is exactly the detection-lag cost
         // the chaos benchmarks measure.
         if self.detector.is_none() {
-            if self.directory.has_replicas() {
-                // Replica activations hosted on the crashed server die
-                // with it, and so does every replica of an actor whose
-                // primary it hosted (the primary's deactivation discards
-                // the whole set) — all recorded as explicit drops so the
-                // trace tells a complete replica-lifetime story.
-                for actor in self.directory.replicas_on(server) {
-                    self.drop_replica_actor(at, ActorId(actor), server);
-                }
-                for actor in self.directory.vertices_on(server) {
-                    for r in self.directory.replicas_of(actor).to_vec() {
-                        self.drop_replica_actor(at, ActorId(actor), r as usize);
-                    }
-                }
+            // Replicas die with their host or their primary, each
+            // recorded as an explicit drop so the trace tells a complete
+            // replica-lifetime story.
+            for (actor, replica) in crash_drops(&self.directory, server) {
+                self.drop_replica_actor(at, ActorId(actor), replica);
             }
             for actor in self.directory.vertices_on(server) {
                 self.directory.remove(actor);
@@ -2451,6 +2271,44 @@ impl AgentHost for ClusterHost<'_> {
         self.cluster
             .set_stage_threads(self.engine, server, allocation);
     }
+
+    fn take_split_candidates(&mut self, server: usize, min_load_ns: u64) -> Vec<(u64, u64)> {
+        let c = &mut *self.cluster;
+        c.servers[server].take_split_candidates(&c.directory, min_load_ns)
+    }
+
+    fn directory(&self) -> &DenseDirectory {
+        &self.cluster.directory
+    }
+
+    fn suspects(&mut self, observer: usize, peer: usize) -> bool {
+        self.cluster.suspects(observer, peer, self.now)
+    }
+
+    /// Through [`Cluster::split_actor`], so transfer windows apply.
+    fn split(&mut self, actor: ActorId, to: usize) {
+        self.cluster.split_actor(self.engine, self.now, actor, to);
+    }
+
+    fn drop_replica(&mut self, actor: ActorId, server: usize) {
+        self.cluster.drop_replica_actor(self.now, actor, server);
+    }
+}
+
+/// Removes the transfers in `in_flight` (actor -> (from, to)) with
+/// `server` as an endpoint, returned in actor order: the deterministic
+/// abort and trace order.
+fn take_transfers(
+    in_flight: &mut FxHashMap<u64, (u32, u32)>,
+    server: usize,
+) -> Vec<(u64, u32, u32)> {
+    let server = server as u32;
+    let mut taken: Vec<(u64, u32, u32)> = in_flight
+        .extract_if(|_, &mut (from, to)| from == server || to == server)
+        .map(|(actor, (from, to))| (actor, from, to))
+        .collect();
+    taken.sort_unstable();
+    taken
 }
 
 /// Schedules a server's next heartbeat round `delay` from now and, when
@@ -2491,12 +2349,14 @@ fn schedule_replication_tick(
         return;
     }
     engine.schedule_after(delay, move |c: &mut Cluster, e| {
-        c.replication_tick(e, server, &rep, &mut cooldowns);
+        let now = e.now();
+        let host = &mut ClusterHost::new(c, e, now);
+        replication_round(host, server..server + 1, &rep, &mut cooldowns);
         schedule_replication_tick(e, server, rep, cooldowns, rep.check_interval, horizon);
     });
 }
 
-impl SnapHost for Cluster {
+impl Accounting for Cluster {
     fn metrics(&mut self) -> &mut ClusterMetrics {
         &mut self.metrics
     }

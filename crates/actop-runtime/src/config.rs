@@ -205,7 +205,8 @@ pub struct RuntimeConfig {
     /// across read replicas. `None` (the default) keeps the
     /// single-activation model. Pair with
     /// [`Cluster::install_replication`](crate::Cluster::install_replication)
-    /// (or the sharded equivalent) to drive detection ticks.
+    /// or [`install_replication_sharded`](crate::install_replication_sharded)
+    /// to drive detection ticks.
     pub replication: Option<ReplicationConfig>,
     /// Optional asynchronous actor snapshots + stateful crash recovery.
     /// `None` (the default) gives actors no durable state and keeps every

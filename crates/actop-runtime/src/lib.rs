@@ -44,6 +44,7 @@ pub mod metrics;
 pub mod obs;
 pub mod placement;
 pub(crate) mod proto;
+mod replication;
 pub mod server;
 pub mod sharded;
 mod snapshot;

@@ -14,8 +14,11 @@
 
 use actop_metrics::{BinnedSeries, Breakdown, LatencyHistogram};
 use actop_partition::CostSignals;
+use actop_sim::Nanos;
+use actop_trace::{HopKind, SpanEvent};
 
 use crate::config::RuntimeConfig;
+use crate::obs::Observability;
 
 /// When a counter is zeroed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -321,6 +324,23 @@ impl ClusterMetrics {
         self.false_suspicion_series
             .merge_from(&other.false_suspicion_series);
         self.sum_counters(other);
+    }
+}
+
+/// Where the snapshot and replication subsystems account their outcomes
+/// (counts, telemetry and lifecycle spans) on either backend: the
+/// sequential `Cluster`, whose spans go through its cost-attribution
+/// wrapper, or one shard.
+pub(crate) trait Accounting {
+    fn metrics(&mut self) -> &mut ClusterMetrics;
+    fn obs(&mut self) -> Option<&mut Observability>;
+    /// Records one span if tracing is on.
+    fn span(&mut self, ev: SpanEvent);
+
+    /// Records one instant span if tracing is on.
+    #[inline]
+    fn instant(&mut self, request: u64, kind: HopKind, server: u32, aux: u64, at: Nanos) {
+        self.span(SpanEvent::instant(request, kind, server, aux, at));
     }
 }
 

@@ -188,8 +188,13 @@ impl<I, T> Server<I, T> {
     /// Split-detection candidates, sorted and deduplicated: this window's
     /// sustained heavy hitters primaried here (by guaranteed sketch
     /// weight), plus every replicated actor primaried here (so cooled
-    /// actors that fell out of the sketch still get drop decisions).
-    pub(crate) fn split_candidates(&self, dir: &DenseDirectory, min_load_ns: u64) -> Vec<u64> {
+    /// actors that fell out of the sketch still get drop decisions), each
+    /// with its guaranteed load this window. Resets the window.
+    pub(crate) fn take_split_candidates(
+        &mut self,
+        dir: &DenseDirectory,
+        min_load_ns: u64,
+    ) -> Vec<(u64, u64)> {
         let mut candidates: Vec<u64> = self
             .load_sketch
             .sustained_heavy_hitters(min_load_ns)
@@ -199,7 +204,12 @@ impl<I, T> Server<I, T> {
         candidates.extend(dir.replicated_primaried_on(self.id));
         candidates.sort_unstable();
         candidates.dedup();
-        candidates
+        let loads = candidates
+            .into_iter()
+            .map(|a| (a, self.load_sketch.lower_bound(&ActorId(a))))
+            .collect();
+        self.load_sketch.clear();
+        loads
     }
 
     /// Inserts a location hint, evicting everything when the cache is full.

@@ -64,9 +64,7 @@
 
 use std::sync::Arc;
 
-use actop_partition::{
-    decide_split, CostSignals, DenseDirectory, PartitionView, PolicyHost, SplitDecision, ViewScope,
-};
+use actop_partition::{CostSignals, DenseDirectory, PartitionView, PolicyHost, ViewScope};
 use actop_sim::{
     mix64, start_next, ConservativeRunner, DetRng, Engine, GlobalCtx, Nanos, OutMsg, PhaseCell,
     ShardCell, ShardWorld, StagePool, Subsystem,
@@ -82,10 +80,14 @@ use crate::app::{AppLogic, Call, Outcome, Reaction};
 use crate::cluster::{StageReport, MAX_FORWARD_HOPS};
 use crate::config::{ReplicationConfig, RuntimeConfig};
 use crate::ids::{ActorId, StageKind};
-use crate::metrics::ClusterMetrics;
+use crate::metrics::{Accounting, ClusterMetrics};
 use crate::obs::Observability;
+use crate::replication::{
+    crash_drops, hash, note_replica_drop, note_replica_request, note_split, rendezvous,
+    replica_admits, replication_round,
+};
 use crate::server::Server;
-use crate::snapshot::{note_abort, note_begin, note_marker, note_sweep, note_touch, SnapHost};
+use crate::snapshot::{note_abort, note_begin, note_marker, note_sweep, note_touch};
 use crate::table::SlabTable;
 
 // ---------------------------------------------------------------------
@@ -503,7 +505,7 @@ unsafe impl ShardWorld for ShardedCluster {
     }
 }
 
-impl SnapHost for ShardedCluster {
+impl Accounting for ShardedCluster {
     fn metrics(&mut self) -> &mut ClusterMetrics {
         &mut self.metrics
     }
@@ -927,29 +929,18 @@ impl ShardedCluster {
                     // reaches the primary (replica sets change only at
                     // barriers, so this check is shard-layout invariant).
                     if !hosted {
-                        if let Some(rep) = self.ctx.config.replication {
-                            if dir.replica_hosted(msg.to.0, server) {
-                                if rep.is_read(u64::from(msg.tag)) {
-                                    hosted = true;
-                                    self.metrics.replica_reads += 1;
-                                    if self.trace.enabled() {
-                                        self.trace.record(SpanEvent::instant(
-                                            msg.request,
-                                            HopKind::ReplicaRead,
-                                            server as u32,
-                                            msg.to.0,
-                                            now,
-                                        ));
-                                    }
-                                } else {
-                                    self.metrics.replica_writes += 1;
-                                }
-                            }
+                        let replication = self.ctx.config.replication.as_ref();
+                        if let Some(read) =
+                            replica_admits(replication, dir, msg.to.0, server, msg.tag)
+                        {
+                            hosted = read;
+                            let (request, actor) = (msg.request, msg.to.0);
+                            note_replica_request(self, now, server, request, actor, read);
                         }
                     }
                     if !hosted {
                         return (
-                            costs.dispatch_fixed_ns,
+                            self.ctx.config.costs.dispatch_fixed_ns,
                             0.0,
                             SPost::Forward(msg),
                             msg.request,
@@ -1534,12 +1525,10 @@ impl ShardedCluster {
     }
 
     /// Routes a request about to be dispatched: read-tagged requests on
-    /// replicated actors spread across live activations by the same seeded
-    /// rendezvous hash as the sequential cluster; writes (and every request
-    /// while replication is off) take the plain [`Self::resolve`] path to
-    /// the primary. Replica sets and liveness change only at barriers, so
-    /// the choice is shard-layout invariant; no RNG stream is drawn, so
-    /// replication-off runs stay byte-identical.
+    /// replicated actors by rendezvous over their live activations; writes
+    /// (and every request while replication is off) take the plain
+    /// [`Self::resolve`] path to the primary. Replica sets and liveness
+    /// change only at barriers, so the choice is shard-layout invariant.
     fn route_request(&mut self, server: usize, actor: ActorId, tag: u32, request: u64) -> usize {
         if let Some(rep) = self.ctx.config.replication {
             if rep.is_read(u64::from(tag)) {
@@ -1553,14 +1542,10 @@ impl ShardedCluster {
                         // live; the filter is cheap insurance.
                         // SAFETY: as in `server_failed`.
                         let failed = unsafe { self.ctx.failed.get() };
-                        let salt = mix64(request.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ actor.0);
-                        let choice = std::iter::once(primary as u32)
+                        let live = std::iter::once(primary as u32)
                             .chain(reps.iter().copied())
-                            .filter(|&c| !failed[c as usize])
-                            .max_by_key(|&c| {
-                                mix64(salt ^ (u64::from(c) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                            });
-                        if let Some(c) = choice {
+                            .filter(|&c| !failed[c as usize]);
+                        if let Some(c) = rendezvous(hash(actor.0, request), live) {
                             return c as usize;
                         }
                     }
@@ -2094,6 +2079,51 @@ impl AgentHost for ShardedHost<'_, '_> {
         cell.world
             .set_stage_threads(&mut cell.engine, server, allocation);
     }
+
+    fn take_split_candidates(&mut self, server: usize, min_load_ns: u64) -> Vec<(u64, u64)> {
+        // SAFETY: serial phase.
+        let dir = unsafe { self.shared.directory.get() };
+        let world = &mut self.ctx.cell(self.shared.topo.shard_of(server)).world;
+        let idx = world.slot_idx(server);
+        world.slots[idx]
+            .server
+            .take_split_candidates(dir, min_load_ns)
+    }
+
+    fn directory(&self) -> &DenseDirectory {
+        // SAFETY: serial phase.
+        unsafe { self.shared.directory.get() }
+    }
+
+    /// Ground truth: the sharded backend has no failure detector.
+    fn suspects(&mut self, _observer: usize, peer: usize) -> bool {
+        self.is_failed(peer)
+    }
+
+    /// Instant commit, accounted on the shard owning the primary.
+    fn split(&mut self, actor: ActorId, to: usize) {
+        // SAFETY: serial phase.
+        let dir = unsafe { self.shared.directory.get_mut() };
+        let primary = dir.server_of(actor.0).expect("split of a placed actor");
+        dir.add_replica(actor.0, to);
+        let now = self.now;
+        let world = &mut self.cell(primary).world;
+        note_split(world, now, actor.0, primary as u32, to as u32);
+    }
+
+    /// Accounted on the shard owning the primary.
+    fn drop_replica(&mut self, actor: ActorId, server: usize) {
+        // SAFETY: serial phase.
+        let dir = unsafe { self.shared.directory.get_mut() };
+        let primary = dir
+            .server_of(actor.0)
+            .expect("replicated actor has a primary");
+        if dir.drop_replica(actor.0, server) {
+            let now = self.now;
+            let world = &mut self.cell(primary).world;
+            note_replica_drop(world, now, actor.0, primary as u32, server as u32);
+        }
+    }
 }
 
 /// Installs the sharded telemetry scraper: a self-rescheduling global
@@ -2134,12 +2164,12 @@ fn sharded_scrape_tick(ctx: Ctx<'_, '_>, interval: Nanos, horizon: Nanos) {
 
 /// Installs the sharded hot-actor replication controller: a
 /// self-rescheduling global event every `check_interval` that runs the
-/// split/drop decision kernel for every server in id order from the serial
-/// phase. Splits and drops commit instantly (the sharded backend has no
-/// transfer windows), mutating the shared directory between windows — so
-/// replica sets, like placements, only ever change at barriers and routing
-/// stays shard-layout invariant. A no-op when `config.replication` is
-/// `None`; the horizon keeps the global queue drainable.
+/// controller round for every server in id order from the serial phase.
+/// Splits and drops commit instantly (the sharded backend has no transfer
+/// windows), mutating the shared directory between windows — so replica
+/// sets, like placements, only ever change at barriers and routing stays
+/// shard-layout invariant. A no-op when `config.replication` is `None`;
+/// the horizon keeps the global queue drainable.
 pub fn install_replication_sharded(
     runner: &mut ConservativeRunner<ShardedCluster>,
     horizon: Nanos,
@@ -2161,11 +2191,11 @@ pub fn install_replication_sharded(
     });
 }
 
-/// One global replication tick: the sharded twin of the sequential
-/// cluster's `replication_tick`, run for every live server in id order.
-/// The per-actor cooldown map travels through the reschedule chain; an
-/// actor's decisions happen only at its primary's turn, so one cluster-wide
-/// map behaves exactly like the legacy per-server maps.
+/// One global replication tick: the controller round over every server,
+/// then the next tick. The cooldown map travels through the reschedule
+/// chain; it is cluster-wide, where the sequential backend keeps one per
+/// server, so the two disagree once an actor's primary moves inside its
+/// cooldown (DESIGN.md §12).
 fn sharded_replication_tick(
     ctx: Ctx<'_, '_>,
     rep: ReplicationConfig,
@@ -2173,128 +2203,14 @@ fn sharded_replication_tick(
     horizon: Nanos,
 ) {
     let now = ctx.now;
-    let shared = shared_of(ctx);
-    let n = shared.topo.servers;
-    let window_capacity_ns =
-        rep.check_interval.as_nanos() * shared.config.costs.cores_per_server as u64;
-    for server in 0..n {
-        // SAFETY: serial phase.
-        if unsafe { shared.failed.get() }[server] {
-            continue;
-        }
-        let shard = shared.topo.shard_of(server);
-        let candidates = {
-            let cell = ctx.cell(shard);
-            let idx = cell.world.local_idx[server];
-            // SAFETY: serial phase.
-            let dir = unsafe { shared.directory.get() };
-            cell.world.slots[idx]
-                .server
-                .split_candidates(dir, rep.min_load_ns)
-        };
-        for a in candidates {
-            if cooldowns.get(&a).is_some_and(|&until| until > now) {
-                continue;
-            }
-            let (observed, replicas) = {
-                let cell = ctx.cell(shard);
-                let idx = cell.world.local_idx[server];
-                // SAFETY: serial phase.
-                let dir = unsafe { shared.directory.get() };
-                (
-                    cell.world.slots[idx]
-                        .server
-                        .load_sketch
-                        .lower_bound(&ActorId(a)),
-                    dir.replicas_of(a).len(),
-                )
-            };
-            match decide_split(&rep.thresholds, observed, window_capacity_ns, replicas) {
-                SplitDecision::Split => {
-                    if let Some(to) = sharded_split_target(&shared, a, replicas, server) {
-                        // SAFETY: serial phase.
-                        unsafe { shared.directory.get_mut() }.add_replica(a, to);
-                        let cell = ctx.cell(shard);
-                        cell.world.metrics.splits += 1;
-                        if cell.world.trace.enabled() {
-                            // Lifecycle event: `request` carries the actor
-                            // id, `server` the primary, `aux` the replica.
-                            cell.world.trace.record(SpanEvent::instant(
-                                a,
-                                HopKind::Split,
-                                server as u32,
-                                to as u64,
-                                now,
-                            ));
-                        }
-                        cooldowns.insert(a, now + rep.cooldown);
-                    }
-                }
-                SplitDecision::Drop => {
-                    // Deterministic victim: the highest replica server id.
-                    let victim = {
-                        // SAFETY: serial phase.
-                        let dir = unsafe { shared.directory.get() };
-                        *dir.replicas_of(a).last().expect("Drop implies replicas") as usize
-                    };
-                    // SAFETY: serial phase.
-                    if unsafe { shared.directory.get_mut() }.drop_replica(a, victim) {
-                        let cell = ctx.cell(shard);
-                        cell.world.metrics.replica_drops += 1;
-                        if cell.world.trace.enabled() {
-                            cell.world.trace.record(SpanEvent::instant(
-                                a,
-                                HopKind::ReplicaDrop,
-                                server as u32,
-                                victim as u64,
-                                now,
-                            ));
-                        }
-                        cooldowns.insert(a, now + rep.cooldown);
-                    }
-                }
-                SplitDecision::Hold => {}
-            }
-        }
-        let cell = ctx.cell(shard);
-        let idx = cell.world.local_idx[server];
-        cell.world.slots[idx].server.load_sketch.clear();
-    }
+    let host = &mut ShardedHost::new(ctx, now);
+    replication_round(host, 0..host.servers(), &rep, &mut cooldowns);
     let next = now + rep.check_interval;
     if next <= horizon {
         ctx.schedule_global(next, move |ctx| {
             sharded_replication_tick(ctx, rep, cooldowns, horizon)
         });
     }
-}
-
-/// Rendezvous split destination over the eligible servers (not the
-/// primary, not already a replica, live), keyed by the current replica
-/// count — the sequential cluster's `split_target` with ground-truth
-/// liveness in place of suspicion. Call only from the serial phase (reads
-/// the shared directory and liveness flags).
-fn sharded_split_target(
-    shared: &ShardCtx,
-    a: u64,
-    replicas: usize,
-    primary: usize,
-) -> Option<usize> {
-    // SAFETY: serial phase, per the caller contract.
-    let dir = unsafe { shared.directory.get() };
-    // SAFETY: as above.
-    let failed = unsafe { shared.failed.get() };
-    let salt = mix64(a ^ (replicas as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let mut best: Option<(u64, usize)> = None;
-    for (c, &down) in failed.iter().enumerate().take(shared.topo.servers) {
-        if c == primary || down || dir.replica_hosted(a, c) {
-            continue;
-        }
-        let score = mix64(salt ^ (c as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        if best.is_none_or(|(s, _)| score > s) {
-            best = Some((score, c));
-        }
-    }
-    best.map(|(_, c)| c)
 }
 
 /// Installs the sharded snapshot coordinator, the twin of
@@ -2387,48 +2303,19 @@ pub fn fail_server_sharded(ctx: Ctx<'_, '_>, server: usize) {
             note_abort(w, now, server, id);
         }
     }
-    {
-        // SAFETY: serial phase.
-        let dir = unsafe { shared.directory.get_mut() };
-        if dir.has_replicas() {
-            // Replica activations hosted on the crashed server die with
-            // it, and so does every replica of an actor whose primary it
-            // hosted (the primary's deactivation discards the whole set)
-            // — all recorded as explicit drops, attributed to the shard
-            // owning each actor's primary, so the merged trace tells the
-            // same complete replica-lifetime story as the legacy backend.
-            let mut drops: Vec<(u64, u32, u32)> = Vec::new();
-            for actor in dir.replicas_on(server) {
-                let primary = dir
-                    .server_of(actor)
-                    .expect("replicated actor has a primary");
-                drops.push((actor, primary as u32, server as u32));
-            }
-            for actor in dir.vertices_on(server) {
-                for &r in dir.replicas_of(actor) {
-                    drops.push((actor, server as u32, r));
-                }
-            }
-            for &(actor, _, replica) in &drops {
-                dir.drop_replica(actor, replica as usize);
-            }
-            for (actor, primary, replica) in drops {
-                let cell = ctx.cell(shared.topo.shard_of(primary as usize));
-                cell.world.metrics.replica_drops += 1;
-                if cell.world.trace.enabled() {
-                    cell.world.trace.record(SpanEvent::instant(
-                        actor,
-                        HopKind::ReplicaDrop,
-                        primary,
-                        u64::from(replica),
-                        now,
-                    ));
-                }
-            }
-        }
-        for actor in dir.vertices_on(server) {
-            dir.remove(actor);
-        }
+    // Replicas die with their host or their primary, each recorded as an
+    // explicit drop on the shard owning the actor's primary, so the merged
+    // trace tells the same replica-lifetime story as the legacy backend.
+    // SAFETY: serial phase.
+    let drops = crash_drops(unsafe { shared.directory.get() }, server);
+    let host = &mut ShardedHost::new(ctx, now);
+    for (actor, replica) in drops {
+        host.drop_replica(ActorId(actor), replica);
+    }
+    // SAFETY: serial phase.
+    let dir = unsafe { shared.directory.get_mut() };
+    for actor in dir.vertices_on(server) {
+        dir.remove(actor);
     }
     let cell = ctx.cell(shared.topo.shard_of(server));
     cell.world.metrics.server_failures += 1;

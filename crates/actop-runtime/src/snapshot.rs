@@ -1,41 +1,30 @@
 //! The snapshot subsystem's accounting, written once for both backends:
 //! each outcome of [`actop_snapshot::SnapshotState`] becomes
-//! [`ClusterMetrics`] counts, telemetry and lifecycle spans, in causal
-//! order, at a [`SnapHost`] — the sequential `Cluster`, whose spans go
-//! through its cost-attribution wrapper, or a shard.
+//! [`ClusterMetrics`](crate::ClusterMetrics) counts, telemetry and
+//! lifecycle spans, in causal order, at an [`Accounting`] host — the
+//! sequential `Cluster`, whose spans go through its cost-attribution
+//! wrapper, or a shard.
 
 use actop_sim::Nanos;
 use actop_snapshot::{SnapshotConfig, Swept, Touch};
-use actop_trace::{HopKind, SpanEvent};
+use actop_trace::HopKind;
 
-use crate::{ClusterMetrics, Observability};
-
-/// Where snapshot outcomes are accounted.
-pub(crate) trait SnapHost {
-    fn metrics(&mut self) -> &mut ClusterMetrics;
-    fn obs(&mut self) -> Option<&mut Observability>;
-    /// Records one span if tracing is on.
-    fn span(&mut self, ev: SpanEvent);
-}
-
-fn instant(h: &mut impl SnapHost, request: u64, kind: HopKind, server: u32, aux: u64, at: Nanos) {
-    h.span(SpanEvent::instant(request, kind, server, aux, at));
-}
+use crate::metrics::Accounting;
 
 /// A round began (`Some(id)`: a `SnapBegin` span whose `request` carries
 /// the round id) or was skipped at coordinator `coord`.
-pub(crate) fn note_begin(h: &mut impl SnapHost, now: Nanos, coord: u32, begun: Option<u64>) {
+pub(crate) fn note_begin(h: &mut impl Accounting, now: Nanos, coord: u32, begun: Option<u64>) {
     let Some(id) = begun else {
         h.metrics().snap_rounds_skipped += 1;
         return;
     };
     h.metrics().snap_rounds_started += 1;
-    instant(h, id, HopKind::SnapBegin, coord, 0, now);
+    h.instant(id, HopKind::SnapBegin, coord, 0, now);
 }
 
 /// `server` joined the cut of round `id`.
-pub(crate) fn note_marker(h: &mut impl SnapHost, now: Nanos, id: u64, server: usize) {
-    instant(h, id, HopKind::SnapMarker, server as u32, 0, now);
+pub(crate) fn note_marker(h: &mut impl Accounting, now: Nanos, id: u64, server: usize) {
+    h.instant(id, HopKind::SnapMarker, server as u32, 0, now);
 }
 
 /// A touch of `actor` at `server`. Lifecycle spans in causal order —
@@ -43,7 +32,7 @@ pub(crate) fn note_marker(h: &mut impl SnapHost, now: Nanos, id: u64, server: us
 /// timestamp; `aux` packs (round, version) for restores and captures.
 #[inline]
 pub(crate) fn note_touch(
-    h: &mut impl SnapHost,
+    h: &mut impl Accounting,
     cfg: &SnapshotConfig,
     now: Nanos,
     server: usize,
@@ -69,14 +58,14 @@ pub(crate) fn note_touch(
     let server = server as u32;
     if let Some(plan) = t.restore {
         let aux = (plan.round << 40) | plan.version;
-        instant(h, actor, HopKind::Restore, server, aux, now);
+        h.instant(actor, HopKind::Restore, server, aux, now);
     }
     if let Some((round, pre)) = t.capture {
         let aux = (round << 40) | pre.version;
-        instant(h, actor, HopKind::SnapCapture, server, aux, now);
+        h.instant(actor, HopKind::SnapCapture, server, aux, now);
     }
     if let Some(cell) = t.cell.filter(|_| t.write) {
-        instant(h, actor, HopKind::StateWrite, server, cell.version, now);
+        h.instant(actor, HopKind::StateWrite, server, cell.version, now);
     }
 }
 
@@ -85,7 +74,7 @@ pub(crate) fn note_touch(
 /// the actor, `aux` packing round and version) and the `SnapComplete`
 /// span at the coordinator (`aux` the captures committed).
 pub(crate) fn note_sweep(
-    h: &mut impl SnapHost,
+    h: &mut impl Accounting,
     cfg: &SnapshotConfig,
     now: Nanos,
     (round, swept): &Swept,
@@ -100,11 +89,10 @@ pub(crate) fn note_sweep(
     }
     for &(actor, host, version) in swept {
         let aux = (round.id << 40) | version;
-        instant(h, actor, HopKind::SnapCapture, host, aux, now);
+        h.instant(actor, HopKind::SnapCapture, host, aux, now);
     }
     let committed = round.captured.len() as u64;
-    instant(
-        h,
+    h.instant(
         round.id,
         HopKind::SnapComplete,
         cfg.store_server,
@@ -115,7 +103,7 @@ pub(crate) fn note_sweep(
 
 /// A crash of `server` aborted round `id` (`request` carries the round,
 /// `server` the crash that killed it).
-pub(crate) fn note_abort(h: &mut impl SnapHost, now: Nanos, server: usize, id: u64) {
+pub(crate) fn note_abort(h: &mut impl Accounting, now: Nanos, server: usize, id: u64) {
     h.metrics().snap_rounds_aborted += 1;
-    instant(h, id, HopKind::SnapAbort, server as u32, 0, now);
+    h.instant(id, HopKind::SnapAbort, server as u32, 0, now);
 }
