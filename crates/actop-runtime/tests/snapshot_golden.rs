@@ -238,6 +238,267 @@ fn golden_snapshots_sharded() {
     assert_eq!(one_hops, two_hops, "snapshot spans at 2 shards");
 }
 
+/// The SEDA process spans: every queue wait and every service.
+const PROCESS_HOPS: [HopKind; 2] = [HopKind::QueueWait, HopKind::Service];
+
+/// The restart input's extra lines: events executed and the process
+/// spans (count plus an order-sensitive digest of every field).
+fn process_lines(events: u64, spans: &[SpanEvent]) -> String {
+    let hops: Vec<&SpanEvent> = spans
+        .iter()
+        .filter(|s| PROCESS_HOPS.contains(&s.kind))
+        .collect();
+    let digest = hops.iter().fold(0u64, |h, s| {
+        [
+            u64::from(s.kind == HopKind::Service),
+            u64::from(s.server),
+            u64::from(s.stage),
+            s.request,
+            s.t_start.as_nanos(),
+            s.t_end.as_nanos(),
+        ]
+        .iter()
+        .fold(h, |h, &v| mix64(h ^ v))
+    });
+    format!(
+        "events={events}\nprocess spans={} digest={digest:016x}",
+        hops.len()
+    )
+}
+
+/// The flash-restart input, one shape on both backends: one thread per
+/// stage (so items queue), fan-out requests in bursts of four every
+/// 200 µs for 20 ms, 5 ms snapshot rounds, and server 1 crashing at 7 ms
+/// and booting a fresh process at the same instant. It pins what a
+/// restart must discard: the dead process's pending CPU completion (the
+/// event count) and its joins (sub-replies in flight reach the fresh
+/// process as stale responses), plus every queue-wait and service span.
+fn restart_config() -> RuntimeConfig {
+    let mut cfg = RuntimeConfig::paper_testbed(5);
+    cfg.servers = 4;
+    cfg.initial_threads_per_stage = 1;
+    cfg.trace = Some(TraceConfig::default());
+    cfg.snapshot = Some(SnapshotConfig {
+        interval: Nanos::from_millis(5),
+        capture_window: Nanos::from_millis(3),
+        ..SnapshotConfig::default()
+    });
+    cfg
+}
+
+const RESTART_REQUESTS: u64 = 400;
+const RESTART_AT: Nanos = Nanos::from_millis(7);
+const RESTART_HORIZON: Nanos = Nanos::from_millis(60);
+
+fn restart_arrival(i: u64) -> (Nanos, ActorId) {
+    (Nanos::from_micros(200 * (i / 4)), ActorId(1 + i % 8))
+}
+
+fn sequential_restart_run() -> String {
+    let mut cfg = restart_config();
+    cfg.request_timeout = Some(Nanos::from_millis(30));
+    let mut cluster = Cluster::new(cfg, Box::new(FanApp));
+    let mut engine: Engine<Cluster> = Engine::new();
+    cluster.install_snapshots(&mut engine, RESTART_HORIZON);
+    for i in 0..RESTART_REQUESTS {
+        let (at, actor) = restart_arrival(i);
+        engine.schedule(at, move |c: &mut Cluster, e| {
+            c.submit_client_request(e, actor, 1, 256);
+        });
+    }
+    engine.schedule(RESTART_AT, |c: &mut Cluster, e| {
+        c.fail_server(e, 1);
+        c.recover_server(e.now(), 1);
+    });
+    engine.run(&mut cluster);
+    let m = &cluster.metrics;
+    assert_eq!(m.server_failures, 1);
+    assert_eq!(m.completed + m.rejected + m.timed_out, m.submitted);
+    let store = cluster.snapshot_store().expect("snapshots on");
+    let spans = cluster.trace.spans();
+    let events = engine.report().events_processed;
+    format!(
+        "{}\n{}",
+        fingerprint(m, store, spans),
+        process_lines(events, spans)
+    )
+}
+
+#[test]
+fn golden_restart_sequential() {
+    check(
+        "restart sequential",
+        &sequential_restart_run(),
+        RESTART_SEQUENTIAL,
+    );
+}
+
+fn sharded_restart_run(shards: usize, threads: usize) -> String {
+    let config = restart_config();
+    let lookahead = sharded_lookahead(&config);
+    let series_bin = config.series_bin_ns;
+    let worlds = build_sharded(config, Box::new(FanApp), shards);
+    let mut runner = ConservativeRunner::new(worlds, lookahead);
+    install_sharded_hooks(&mut runner);
+    install_snapshots_sharded(&mut runner, RESTART_HORIZON);
+    let mut rng_gw = DetRng::stream(5, 0x90);
+    let mut rng_net = DetRng::stream(5, 0x91);
+    runner.schedule_global(Nanos::ZERO, move |ctx| {
+        for i in 0..RESTART_REQUESTS {
+            let (at, actor) = restart_arrival(i);
+            submit_client_request_sharded(ctx, at, actor, 1, 256, i, &mut rng_gw, &mut rng_net);
+        }
+    });
+    runner.schedule_global(RESTART_AT, |ctx| {
+        fail_server_sharded(ctx, 1);
+        recover_server_sharded(ctx, 1);
+    });
+    runner.run_until(RESTART_HORIZON, threads);
+    let mut merged = ClusterMetrics::new(series_bin);
+    let mut spans = Vec::new();
+    let mut events = 0;
+    for cell in runner.cells() {
+        merged.merge_from(cell.world.metrics());
+        spans.extend_from_slice(cell.world.trace().spans());
+        events += cell.engine.report().events_processed;
+    }
+    assert_eq!(merged.server_failures, 1);
+    let fp = runner.cells()[0]
+        .world
+        .with_snapshot_store(|store| fingerprint(&merged, store, &spans))
+        .expect("snapshots on");
+    format!("{fp}\n{}", process_lines(events, &spans))
+}
+
+#[test]
+fn golden_restart_sharded() {
+    let one = sharded_restart_run(1, 1);
+    check("restart sharded", &one, RESTART_SHARDED);
+    // Counters and store agree across layouts; span order, and with it
+    // the digests, follows the shard split.
+    let counters_and_store = |fp: &str| {
+        fp.lines()
+            .filter(|l| !l.starts_with("spans digest") && !l.starts_with("process spans"))
+            .filter(|l| !l.starts_with("events="))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let two = sharded_restart_run(2, 2);
+    assert_eq!(counters_and_store(&one), counters_and_store(&two));
+}
+
+const RESTART_SEQUENTIAL: &str = r"submitted=400
+completed=396
+rejected=0
+timed_out=4
+shed_no_live=0
+stale_responses=0
+remote_messages=1454
+local_messages=533
+forwarded_messages=299
+lost_in_flight=0
+net_dropped=0
+forward_loop_drops=0
+zombie_branches=0
+retries=0
+retry_backoff_ns=0
+retry_budget_exhausted=0
+migrations=0
+migration_stall_ns=0
+migrations_aborted=0
+server_failures=1
+heartbeats_sent=0
+heartbeats_dropped=0
+suspicions=0
+unsuspicions=0
+directory_repairs=0
+false_suspicion_repairs=0
+slo_alerts_opened=0
+slo_alerts_closed=0
+splits=0
+splits_aborted=0
+replica_drops=0
+replica_reads=0
+replica_writes=0
+snap_rounds_started=12
+snap_rounds_completed=11
+snap_rounds_aborted=1
+snap_rounds_skipped=0
+snap_captures=96
+snap_bytes=24576
+snap_inflight=76
+state_writes=397
+restores=1
+restore_replayed=14
+restores_deferred=0
+store journal_len=0 durable_versions=397 complete_rounds=[2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]
+spans snap-begin=12
+spans snap-marker=48
+spans snap-capture=96
+spans snap-complete=11
+spans snap-abort=1
+spans state-write=397
+spans restore=1
+spans digest=964f7cf4d8e6e697
+events=10324
+process spans=13948 digest=c5ce83bfc9ae99b9";
+
+const RESTART_SHARDED: &str = r"submitted=400
+completed=376
+rejected=0
+timed_out=0
+shed_no_live=0
+stale_responses=10
+remote_messages=1976
+local_messages=0
+forwarded_messages=310
+lost_in_flight=0
+net_dropped=0
+forward_loop_drops=0
+zombie_branches=0
+retries=0
+retry_backoff_ns=0
+retry_budget_exhausted=0
+migrations=0
+migration_stall_ns=0
+migrations_aborted=0
+server_failures=1
+heartbeats_sent=0
+heartbeats_dropped=0
+suspicions=0
+unsuspicions=0
+directory_repairs=0
+false_suspicion_repairs=0
+slo_alerts_opened=0
+slo_alerts_closed=0
+splits=0
+splits_aborted=0
+replica_drops=0
+replica_reads=0
+replica_writes=0
+snap_rounds_started=11
+snap_rounds_completed=10
+snap_rounds_aborted=1
+snap_rounds_skipped=0
+snap_captures=88
+snap_bytes=22528
+snap_inflight=88
+state_writes=392
+restores=1
+restore_replayed=14
+restores_deferred=0
+store journal_len=0 durable_versions=392 complete_rounds=[2, 3, 4, 5, 6, 7, 8, 9, 10, 11]
+spans snap-begin=11
+spans snap-marker=44
+spans snap-capture=88
+spans snap-complete=10
+spans snap-abort=1
+spans state-write=392
+spans restore=1
+spans digest=dfbc8791f67f9328
+events=10914
+process spans=15940 digest=dc1a56b8a769d589";
+
 const SEQUENTIAL: &str = r"submitted=1200
 completed=1199
 rejected=0
