@@ -11,10 +11,10 @@
 
 use actop_metrics::TimelineSample;
 use actop_partition::{CostSignals, DenseDirectory, PartitionView, PolicyHost, ViewScope};
-use actop_sim::{start_next, CostAttr, DetRng, Engine, Nanos, StagePool, Subsystem};
+use actop_sim::{CostAttr, DetRng, Engine, Nanos, Subsystem};
 use actop_sketch::fxmap::{fx_map_with_capacity, FxHashMap};
 use actop_snapshot::{LinkCounters, SnapshotState, SnapshotStore, StateCell, Touch};
-use actop_trace::{HopKind, SpanEvent, Tracer, NO_SERVER, NO_STAGE, PROC_LABEL, QUEUE_LABEL};
+use actop_trace::{HopKind, SpanEvent, Tracer, NO_SERVER, NO_STAGE};
 
 use crate::agent::AgentHost;
 use crate::app::{AppLogic, Call, Outcome, Reaction};
@@ -23,16 +23,17 @@ use crate::detector::{DetectorConfig, FailureDetector, Transition};
 use crate::ids::{ActorId, CallId, RequestId, StageKind};
 use crate::metrics::{Accounting, ClusterMetrics};
 use crate::obs::{DetectorAccuracy, Observability, SloTransition};
+use crate::process::{crash, Process, ProcessHost};
 use crate::proto::{
-    Message, MsgKind, PendingJoin, PostAction, ReplyTarget, RequestMeta, RunningTask, StageItem,
+    Message, MsgKind, PendingJoin, PostAction, ReplyTarget, RequestMeta, StageItem,
 };
 use crate::replication::{
-    crash_drops, hash, note_replica_drop, note_replica_request, note_split, rendezvous,
-    replica_admits, replication_round,
+    hash, note_replica_drop, note_replica_request, note_split, rendezvous, replica_admits,
+    replication_round,
 };
 use crate::server::Server;
 pub use crate::server::StageReport;
-use crate::snapshot::{note_abort, note_begin, note_marker, note_sweep, note_touch};
+use crate::snapshot::{note_begin, note_marker, note_sweep, note_touch};
 use crate::table::SlabTable;
 
 // Breakdown component labels (Fig. 4) are shared with the trace exporter's
@@ -84,7 +85,8 @@ pub struct Cluster {
     /// [`Cluster::install_accuracy_sampler`].
     pub detector_accuracy: DetectorAccuracy,
     /// Cluster-side cost attribution (`config.cost_attr`); the engine
-    /// carries its own accumulator for heap work, merged at report time.
+    /// carries its own accumulator for heap and CPU-model work, merged at
+    /// report time.
     attr: CostAttr,
     app: Box<dyn AppLogic>,
     rng_place: DetRng,
@@ -126,8 +128,6 @@ pub struct Cluster {
     joins: SlabTable<PendingJoin>,
     /// In-flight client requests, keyed by [`RequestId`] slab handle.
     requests: SlabTable<RequestMeta>,
-    /// Reused buffer for the tasks one CPU-completion event collects.
-    cpu_done_buf: Vec<RunningTask>,
     /// View buffer lent to partition rounds whose policy lives only for
     /// the round ([`AgentHost::policy_view`]).
     policy_view: PartitionView<ActorId>,
@@ -183,7 +183,6 @@ impl Cluster {
             splits_in_flight: fx_map_with_capacity(0),
             joins: SlabTable::new(),
             requests: SlabTable::new(),
-            cpu_done_buf: Vec::new(),
             policy_view: PartitionView::new(),
             config,
         }
@@ -443,307 +442,6 @@ impl Cluster {
         });
     }
 
-    /// Pushes an item into a stage queue and pumps the server.
-    fn enqueue(
-        &mut self,
-        engine: &mut Engine<Cluster>,
-        server: usize,
-        stage: usize,
-        item: StageItem,
-    ) {
-        let now = engine.now();
-        self.servers[server].stages[stage].push(now, item);
-        self.pump(engine, server);
-    }
-
-    /// Starts queued items on every stage with a free thread, then
-    /// re-arms the CPU completion event. One pass suffices: starting an
-    /// item never enqueues one (`prepare` only decides what happens when
-    /// the compute phase ends).
-    fn pump(&mut self, engine: &mut Engine<Cluster>, server: usize) {
-        if self.failed[server] {
-            return;
-        }
-        let now = engine.now();
-        let mut from = 0;
-        let mut next = self.attr.time(Subsystem::Cpu, || {
-            start_next(&mut self.servers[server].stages, &mut from, now)
-        });
-        while let Some((stage, item, wait)) = next {
-            if self.config.record_breakdown {
-                let rid = item_request(&item);
-                self.account(rid, QUEUE_LABEL[stage], wait.as_nanos() as f64);
-            }
-            if self.trace.enabled() {
-                self.record_span(SpanEvent {
-                    request: item_request(&item).0,
-                    kind: HopKind::QueueWait,
-                    server: server as u32,
-                    stage: stage as u8,
-                    aux: 0,
-                    t_start: now.saturating_sub(wait),
-                    t_end: now,
-                });
-            }
-            let (cpu_ns, wait_ns, post, request) = self.prepare(now, server, item);
-            let cpu_ns = cpu_ns.max(1.0);
-            let task = RunningTask {
-                stage,
-                post,
-                started: now,
-                cpu_ns,
-                wait_ns,
-                request,
-            };
-            next = self.attr.time(Subsystem::Cpu, || {
-                let s = &mut self.servers[server];
-                s.cpu.add(now, cpu_ns, task);
-                start_next(&mut s.stages, &mut from, now)
-            });
-        }
-        debug_assert!(
-            !self.servers[server].stages.iter().any(StagePool::can_start),
-            "prepare enqueued work behind the pump"
-        );
-        self.sync_cpu(engine, server);
-    }
-
-    /// Computes a stage item's CPU demand, blocking time, and completion
-    /// action. For worker requests this invokes the application handler
-    /// (its decision is captured now and applied when the compute phase
-    /// ends).
-    fn prepare(
-        &mut self,
-        now: Nanos,
-        server: usize,
-        item: StageItem,
-    ) -> (f64, f64, PostAction, RequestId) {
-        let costs = &self.config.costs;
-        match item {
-            StageItem::Deserialize(msg) => (
-                costs.deserialize_ns(msg.bytes),
-                0.0,
-                PostAction::RouteToWorker(msg),
-                msg.request,
-            ),
-            StageItem::Execute(msg) => {
-                let primary = self.directory.server_of(msg.to.0) == Some(server);
-                let mut hosted = primary;
-                if !hosted {
-                    // A replica activation: read-tagged requests and join
-                    // continuations execute here; writes fall through to
-                    // the forward path (primary-routed).
-                    let replication = self.config.replication.as_ref();
-                    if let Some(read) =
-                        replica_admits(replication, &self.directory, msg.to.0, server, msg.tag)
-                    {
-                        hosted = match msg.kind {
-                            MsgKind::Request { .. } => {
-                                let (request, actor) = (msg.request.0, msg.to.0);
-                                note_replica_request(self, now, server, request, actor, read);
-                                read
-                            }
-                            MsgKind::Response { .. } => true,
-                        };
-                    }
-                }
-                if !hosted {
-                    return (
-                        self.config.costs.dispatch_fixed_ns,
-                        0.0,
-                        PostAction::Forward(msg),
-                        msg.request,
-                    );
-                }
-                let costs = &self.config.costs;
-                let local_copy = if !msg.delivered_remotely && msg.from_actor.is_some() {
-                    costs.local_copy_ns(msg.bytes)
-                } else {
-                    0.0
-                };
-                match msg.kind {
-                    MsgKind::Request { .. } => {
-                        // Snapshot hook: restore-or-defer dead state, then
-                        // capture + journal writes — before the handler
-                        // runs (and before any RNG draw, so a deferred
-                        // execute replays identically).
-                        let (snap_cpu, snap_wait) = if self.snap.is_some() && primary {
-                            match self.snapshot_touch(now, server, msg.to.0, msg.tag) {
-                                Touch::Proceed(t) => (t.cpu_ns, t.blocking_ns),
-                                Touch::Defer(backoff) => {
-                                    return (
-                                        self.config.costs.dispatch_fixed_ns,
-                                        0.0,
-                                        PostAction::SnapshotDefer { msg, backoff },
-                                        msg.request,
-                                    );
-                                }
-                            }
-                        } else {
-                            (0.0, 0.0)
-                        };
-                        let reaction = self.app.on_request(msg.to, msg.tag, &mut self.rng_app);
-                        if self.config.replication.is_some() {
-                            // Feed the split detector: service demand per
-                            // activation over the current window.
-                            self.servers[server]
-                                .load_sketch
-                                .offer(msg.to, reaction.cpu_ns as u64);
-                        }
-                        (
-                            reaction.cpu_ns + local_copy + snap_cpu,
-                            reaction.blocking_ns + snap_wait,
-                            PostAction::ApplyRequest { msg, reaction },
-                            msg.request,
-                        )
-                    }
-                    MsgKind::Response { .. } => (
-                        self.app.continuation_cpu_ns() + local_copy,
-                        0.0,
-                        PostAction::ApplyResponse(msg),
-                        msg.request,
-                    ),
-                }
-            }
-            StageItem::SerializeRemote { dst, msg } => (
-                costs.serialize_ns(msg.bytes),
-                0.0,
-                PostAction::NetSend { dst, msg },
-                msg.request,
-            ),
-            StageItem::SerializeClient { request, bytes } => (
-                costs.serialize_ns(bytes),
-                0.0,
-                PostAction::ClientReply { request, bytes },
-                request,
-            ),
-        }
-    }
-
-    /// Re-arms the pending CPU-completion event to the CPU's current next
-    /// completion time.
-    ///
-    /// Each server keeps exactly one provisional completion event alive.
-    /// Under processor sharing, every runnable-set change moves the next
-    /// completion time, so this is the hottest queue operation in the
-    /// simulator: the event is retargeted in place with
-    /// [`Engine::reschedule`] (and scheduled as an allocation-free tick),
-    /// never cancelled-and-reboxed.
-    fn sync_cpu(&mut self, engine: &mut Engine<Cluster>, server: usize) {
-        let next = self.attr.time(Subsystem::Cpu, || {
-            self.servers[server].cpu.next_completion()
-        });
-        self.servers[server].sync_cpu_event(engine, next, Self::cpu_tick);
-    }
-
-    /// The CPU-completion event in tick form (payload = server index), so
-    /// arming a provisional completion never allocates.
-    fn cpu_tick(cluster: &mut Cluster, engine: &mut Engine<Cluster>, server: u64) {
-        cluster.cpu_done(engine, server as usize);
-    }
-
-    /// The CPU-completion event: collect finished compute phases, run their
-    /// blocking waits (if any), finish tasks, and pump.
-    fn cpu_done(&mut self, engine: &mut Engine<Cluster>, server: usize) {
-        if self.failed[server] {
-            return; // The event raced with a crash; the work is gone.
-        }
-        self.servers[server].cpu_event = None;
-        let now = engine.now();
-        let mut done = std::mem::take(&mut self.cpu_done_buf);
-        self.attr.time(Subsystem::Cpu, || {
-            self.servers[server].cpu.drain_completed(now, &mut done)
-        });
-        for task in done.drain(..) {
-            if task.wait_ns > 0.0 {
-                let wait = Nanos::from_nanos_f64(task.wait_ns);
-                engine.schedule_after(wait, move |c: &mut Cluster, e| {
-                    c.task_finished(e, server, task);
-                });
-            } else {
-                self.task_finished(engine, server, task);
-            }
-        }
-        self.cpu_done_buf = done;
-        self.pump(engine, server);
-    }
-
-    /// A stage task fully finished (compute + blocking wait): free the
-    /// thread, record the estimator window, apply the completion action.
-    fn task_finished(&mut self, engine: &mut Engine<Cluster>, server: usize, task: RunningTask) {
-        if self.failed[server] {
-            return; // A blocking wait outlived its server's crash.
-        }
-        let now = engine.now();
-        self.servers[server].stages[task.stage].finish(now);
-        let window = &mut self.servers[server].windows[task.stage];
-        window.completions += 1;
-        window.sum_wallclock_ns += (now - task.started).as_nanos() as f64;
-        window.sum_cpu_ns += task.cpu_ns;
-        if self.config.record_breakdown {
-            self.account(
-                task.request,
-                PROC_LABEL[task.stage],
-                (now - task.started).as_nanos() as f64,
-            );
-        }
-        if self.trace.enabled() {
-            self.record_span(SpanEvent {
-                request: task.request.0,
-                kind: HopKind::Service,
-                server: server as u32,
-                stage: task.stage as u8,
-                aux: 0,
-                t_start: task.started,
-                t_end: now,
-            });
-        }
-        match task.post {
-            PostAction::RouteToWorker(msg) => {
-                self.enqueue(
-                    engine,
-                    server,
-                    StageKind::Worker.index(),
-                    StageItem::Execute(msg),
-                );
-            }
-            PostAction::ApplyRequest { msg, reaction } => {
-                self.apply_request(engine, server, msg, reaction);
-            }
-            PostAction::ApplyResponse(msg) => {
-                self.apply_response(engine, server, msg);
-            }
-            PostAction::Forward(msg) => {
-                self.forward(engine, server, msg);
-            }
-            PostAction::NetSend { dst, msg } => {
-                self.net_send(engine, server, dst, msg);
-            }
-            PostAction::ClientReply { request, bytes } => {
-                let delay = self.config.costs.network.delay(&mut self.rng_net, bytes);
-                self.account(request, "Network", delay.as_nanos() as f64);
-                if self.trace.enabled() {
-                    self.record_span(SpanEvent {
-                        request: request.0,
-                        kind: HopKind::Network,
-                        server: server as u32,
-                        stage: NO_STAGE,
-                        aux: NO_SERVER as u64,
-                        t_start: now,
-                        t_end: now + delay,
-                    });
-                }
-                engine.schedule_after(delay, move |c: &mut Cluster, e| {
-                    c.complete_request(e.now(), request);
-                });
-            }
-            PostAction::SnapshotDefer { msg, backoff } => {
-                self.snapshot_defer(engine, server, msg, backoff);
-            }
-        }
-        self.pump(engine, server);
-    }
-
     /// Puts a server-to-server message on the wire: draws the network
     /// delay, then applies any installed link fault (drop or extra delay)
     /// on the pair. The base delay is always drawn first so fault-free
@@ -990,7 +688,8 @@ impl Cluster {
                     server,
                     StageKind::ClientSender.index(),
                     StageItem::SerializeClient {
-                        request: rid,
+                        request: rid.0,
+                        root_start: Nanos::ZERO,
                         bytes,
                     },
                 );
@@ -1592,10 +1291,7 @@ impl Cluster {
         server: usize,
         allocation: [usize; 4],
     ) {
-        self.servers[server].set_threads(engine.now(), allocation);
-        // Extra threads may unblock queued work immediately (and the CPU
-        // completion event must be re-armed for the new rates).
-        self.pump(engine, server);
+        Process::set_stage_threads(self, engine, server, allocation);
     }
 
     /// Snapshot of a server's cumulative busy core-nanoseconds (pair two
@@ -2005,8 +1701,9 @@ impl Cluster {
     }
 
     /// The cluster-side cost-attribution accumulator (routing, sketch,
-    /// detector, tracer, scrape). Merge into the engine's report for the
-    /// full picture.
+    /// detector, tracer, scrape). Merge into the engine's report (heap and
+    /// CPU model, with the engine's accumulator enabled by the same flag)
+    /// for the full picture.
     pub fn cost_attr(&self) -> &CostAttr {
         &self.attr
     }
@@ -2095,76 +1792,17 @@ impl Cluster {
     /// next message (Orleans' fault-tolerance model, §2); requests whose
     /// state died with the server complete via the client timeout.
     pub fn fail_server(&mut self, engine: &mut Engine<Cluster>, server: usize) {
-        if self.failed[server] {
-            return;
-        }
-        self.failed[server] = true;
-        self.metrics.server_failures += 1;
-        let at = engine.now();
-        if self.trace.enabled() {
-            self.record_span(SpanEvent::instant(
-                0,
-                HopKind::ServerFail,
-                server as u32,
-                0,
-                at,
-            ));
-            self.trace
-                .flight_dump(HopKind::ServerFail, 0, server as u32, at);
-        }
-        // Abort in-flight migrations and splits touching the crashed
-        // server: the transfer dies with an endpoint, the actor stays at its
-        // source (where the source's own directory entry still points) and
-        // no replica ever appears. Lifecycle events: `request` carries the
-        // actor id, `server` the source, `aux` the destination.
-        for (actor, from, to) in take_transfers(&mut self.migrations_in_flight, server) {
-            self.metrics.migrations_aborted += 1;
-            self.instant(actor, HopKind::MigrationAbort, from, u64::from(to), at);
-        }
-        for (actor, from, to) in take_transfers(&mut self.splits_in_flight, server) {
-            self.metrics.splits_aborted += 1;
-            self.instant(actor, HopKind::SplitAbort, from, u64::from(to), at);
-        }
-        // Snapshots: the dead server's cells die and the open round aborts.
-        if let Some(id) = self.snap.as_mut().and_then(|snap| snap.crash(server)) {
-            note_abort(self, at, server, id);
-        }
-        // With the legacy oracle the whole cluster learns of the crash
-        // instantly: drop every activation the server hosted. (No location
-        // hints: the server crashed, it had no chance to leave forwarding
-        // state.) With a failure detector, knowledge travels through
-        // missed heartbeats instead — stale directory entries linger until
-        // suspicion repairs them, which is exactly the detection-lag cost
-        // the chaos benchmarks measure.
-        if self.detector.is_none() {
-            // Replicas die with their host or their primary, each
-            // recorded as an explicit drop so the trace tells a complete
-            // replica-lifetime story.
-            for (actor, replica) in crash_drops(&self.directory, server) {
-                self.drop_replica_actor(at, ActorId(actor), replica);
-            }
-            for actor in self.directory.vertices_on(server) {
-                self.directory.remove(actor);
-            }
-        }
-        // Lose in-memory state: queues, running tasks, sketches, caches.
-        if let Some((_, id)) = self.servers[server].cpu_event.take() {
-            engine.cancel(id);
-        }
-        self.servers[server] = Server::new(server, &self.config);
+        let now = engine.now();
+        crash(&mut ClusterHost::new(self, engine, now), server);
     }
 
     /// Brings a crashed server back (a fresh, empty process) at `now`. New
     /// activations flow to it through the placement policy; the partition
-    /// agent rebalances actors onto it over time. The fresh process's
-    /// detector rows are reset so it trusts every peer for one grace
-    /// period instead of mass-suspecting the cluster at boot; peers keep
+    /// agent rebalances actors onto it over time. Its detector rows are
+    /// reset so it trusts every peer for one grace period; peers keep
     /// suspecting *it* until its heartbeats resume.
     pub fn recover_server(&mut self, now: Nanos, server: usize) {
-        self.failed[server] = false;
-        if let Some(d) = self.detector.as_mut() {
-            d.reset_observer(server, now);
-        }
+        self.set_down(now, server, false);
     }
 
     /// True when no request is in flight anywhere (drained).
@@ -2295,6 +1933,43 @@ impl AgentHost for ClusterHost<'_> {
     }
 }
 
+impl ProcessHost for ClusterHost<'_> {
+    type World = Cluster;
+
+    fn world(&mut self, _server: usize) -> (&mut Cluster, &mut Engine<Cluster>) {
+        (self.cluster, self.engine)
+    }
+
+    fn oracle(&self) -> bool {
+        self.cluster.detector.is_none()
+    }
+
+    fn directory_mut(&mut self) -> &mut DenseDirectory {
+        &mut self.cluster.directory
+    }
+
+    /// The transfer dies with an endpoint: the actor stays at its source
+    /// (where the source's own directory entry still points) and no
+    /// replica ever appears. Lifecycle events: `request` carries the
+    /// actor id, `server` the source, `aux` the destination.
+    fn abort_transfers(&mut self, server: usize) {
+        let (c, at) = (&mut *self.cluster, self.now);
+        for (actor, from, to) in take_transfers(&mut c.migrations_in_flight, server) {
+            c.metrics.migrations_aborted += 1;
+            c.instant(actor, HopKind::MigrationAbort, from, u64::from(to), at);
+        }
+        for (actor, from, to) in take_transfers(&mut c.splits_in_flight, server) {
+            c.metrics.splits_aborted += 1;
+            c.instant(actor, HopKind::SplitAbort, from, u64::from(to), at);
+        }
+    }
+
+    fn snapshot_crash(&mut self, server: usize) -> Option<(&mut Cluster, u64)> {
+        let id = self.cluster.snap.as_mut()?.crash(server)?;
+        Some((&mut *self.cluster, id))
+    }
+}
+
 /// Removes the transfers in `in_flight` (actor -> (from, to)) with
 /// `server` as an endpoint, returned in actor order: the deterministic
 /// abort and trace order.
@@ -2369,6 +2044,169 @@ impl Accounting for Cluster {
         if self.trace.enabled() {
             self.record_span(ev);
         }
+    }
+}
+
+/// The sequential hooks: the cluster's servers and failure flags, the
+/// breakdown, and the sequential message lifecycle.
+impl Process for Cluster {
+    type Msg = Message;
+
+    #[inline]
+    fn server(&mut self, id: usize) -> &mut Server {
+        &mut self.servers[id]
+    }
+
+    #[inline]
+    fn is_down(&self, server: usize) -> bool {
+        self.failed[server]
+    }
+
+    fn set_down(&mut self, now: Nanos, server: usize, down: bool) {
+        self.failed[server] = down;
+        if let Some(d) = self.detector.as_mut().filter(|_| !down) {
+            d.reset_observer(server, now);
+        }
+    }
+
+    fn prepare(&mut self, now: Nanos, server: usize, msg: Message) -> (f64, f64, PostAction) {
+        let primary = self.directory.server_of(msg.to.0) == Some(server);
+        let mut hosted = primary;
+        if !hosted {
+            // A replica activation: read-tagged requests and join
+            // continuations execute here; writes fall through to
+            // the forward path (primary-routed).
+            let replication = self.config.replication.as_ref();
+            if let Some(read) =
+                replica_admits(replication, &self.directory, msg.to.0, server, msg.tag)
+            {
+                hosted = match msg.kind {
+                    MsgKind::Request { .. } => {
+                        let (request, actor) = (msg.request.0, msg.to.0);
+                        note_replica_request(self, now, server, request, actor, read);
+                        read
+                    }
+                    MsgKind::Response { .. } => true,
+                };
+            }
+        }
+        if !hosted {
+            return (
+                self.config.costs.dispatch_fixed_ns,
+                0.0,
+                PostAction::Forward(msg),
+            );
+        }
+        let costs = &self.config.costs;
+        let local_copy = if !msg.delivered_remotely && msg.from_actor.is_some() {
+            costs.local_copy_ns(msg.bytes)
+        } else {
+            0.0
+        };
+        match msg.kind {
+            MsgKind::Request { .. } => {
+                // Snapshot hook: restore-or-defer dead state, then
+                // capture + journal writes — before the handler
+                // runs (and before any RNG draw, so a deferred
+                // execute replays identically).
+                let (snap_cpu, snap_wait) = if self.snap.is_some() && primary {
+                    match self.snapshot_touch(now, server, msg.to.0, msg.tag) {
+                        Touch::Proceed(t) => (t.cpu_ns, t.blocking_ns),
+                        Touch::Defer(backoff) => {
+                            return (
+                                self.config.costs.dispatch_fixed_ns,
+                                0.0,
+                                PostAction::SnapshotDefer { msg, backoff },
+                            );
+                        }
+                    }
+                } else {
+                    (0.0, 0.0)
+                };
+                let reaction = self.app.on_request(msg.to, msg.tag, &mut self.rng_app);
+                if self.config.replication.is_some() {
+                    // Feed the split detector: service demand per
+                    // activation over the current window.
+                    self.servers[server]
+                        .load_sketch
+                        .offer(msg.to, reaction.cpu_ns as u64);
+                }
+                (
+                    reaction.cpu_ns + local_copy + snap_cpu,
+                    reaction.blocking_ns + snap_wait,
+                    PostAction::ApplyRequest { msg, reaction },
+                )
+            }
+            MsgKind::Response { .. } => (
+                self.app.continuation_cpu_ns() + local_copy,
+                0.0,
+                PostAction::ApplyResponse(msg),
+            ),
+        }
+    }
+
+    fn dispatch(&mut self, engine: &mut Engine<Cluster>, server: usize, post: PostAction) {
+        match post {
+            PostAction::RouteToWorker(msg) => {
+                self.enqueue(
+                    engine,
+                    server,
+                    StageKind::Worker.index(),
+                    StageItem::Execute(msg),
+                );
+            }
+            PostAction::ApplyRequest { msg, reaction } => {
+                self.apply_request(engine, server, msg, reaction);
+            }
+            PostAction::ApplyResponse(msg) => {
+                self.apply_response(engine, server, msg);
+            }
+            PostAction::Forward(msg) => {
+                self.forward(engine, server, msg);
+            }
+            PostAction::NetSend { dst, msg } => {
+                self.net_send(engine, server, dst, msg);
+            }
+            PostAction::ClientReply { request, bytes, .. } => {
+                let (now, request) = (engine.now(), RequestId(request));
+                let delay = self.config.costs.network.delay(&mut self.rng_net, bytes);
+                self.account(request, "Network", delay.as_nanos() as f64);
+                if self.trace.enabled() {
+                    self.record_span(SpanEvent {
+                        request: request.0,
+                        kind: HopKind::Network,
+                        server: server as u32,
+                        stage: NO_STAGE,
+                        aux: NO_SERVER as u64,
+                        t_start: now,
+                        t_end: now + delay,
+                    });
+                }
+                engine.schedule_after(delay, move |c: &mut Cluster, e| {
+                    c.complete_request(e.now(), request);
+                });
+            }
+            PostAction::SnapshotDefer { msg, backoff } => {
+                self.snapshot_defer(engine, server, msg, backoff);
+            }
+        }
+    }
+
+    fn config(&self) -> &RuntimeConfig {
+        &self.config
+    }
+
+    fn tracer(&mut self) -> &mut Tracer {
+        &mut self.trace
+    }
+
+    fn restart(&mut self, engine: &mut Engine<Cluster>, server: usize) {
+        self.servers[server].restart(engine, &self.config);
+    }
+
+    #[inline]
+    fn charge(&mut self, request: u64, component: &'static str, ns: f64) {
+        self.account(RequestId(request), component, ns);
     }
 }
 
@@ -2500,13 +2338,4 @@ fn engine_resume(engine: &mut Engine<Cluster>, server: usize, pause: Nanos) {
             c.pump(e, server);
         }
     });
-}
-
-/// The root request of a queued stage item (for breakdown accounting).
-fn item_request(item: &StageItem) -> RequestId {
-    match item {
-        StageItem::Deserialize(m) | StageItem::Execute(m) => m.request,
-        StageItem::SerializeRemote { msg, .. } => msg.request,
-        StageItem::SerializeClient { request, .. } => *request,
-    }
 }

@@ -43,6 +43,7 @@ pub mod ids;
 pub mod metrics;
 pub mod obs;
 pub mod placement;
+mod process;
 pub(crate) mod proto;
 mod replication;
 pub mod server;

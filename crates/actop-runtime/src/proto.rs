@@ -2,9 +2,11 @@
 //!
 //! These never appear in the public API: applications speak [`crate::app`]
 //! types, and workload drivers speak [`crate::cluster::Cluster`] methods.
-//! [`StageItem`] and [`RunningTask`] are nominally `pub` only because they
-//! are the defaults of [`crate::server::Server`]'s type parameters; this
-//! module is private, so outside the crate they cannot be named.
+//! [`StageItem`], [`PostAction`] and [`RunningTask`] are generic over the
+//! backend's message type ([`Message`] here, the sharded backend's own)
+//! and nominally `pub` only because they are the defaults of
+//! [`crate::server::Server`]'s type parameters; this module is private,
+//! so outside the crate they cannot be named.
 
 use actop_sim::Nanos;
 
@@ -70,56 +72,95 @@ pub struct Message {
     pub(crate) hops: u8,
 }
 
+/// What the shared SEDA stage protocol needs of a backend's message.
+pub trait Msg: Copy + 'static {
+    /// The root request the message descends from (trace and breakdown key).
+    fn request(&self) -> u64;
+
+    /// Payload size in bytes (drives the (de)serialization cost).
+    fn bytes(&self) -> u64;
+}
+
+impl Msg for Message {
+    #[inline]
+    fn request(&self) -> u64 {
+        self.request.0
+    }
+
+    #[inline]
+    fn bytes(&self) -> u64 {
+        self.bytes
+    }
+}
+
 /// An item sitting in a SEDA stage queue.
 #[derive(Debug, Clone)]
-pub enum StageItem {
+pub enum StageItem<M = Message> {
     /// Receiver: deserialize an inbound message.
-    Deserialize(Message),
+    Deserialize(M),
     /// Worker: execute a request handler or a response continuation.
-    Execute(Message),
+    Execute(M),
     /// Server sender: serialize and transmit to another server.
     SerializeRemote {
         /// Destination server.
         dst: usize,
         /// The message to ship.
-        msg: Message,
+        msg: M,
     },
     /// Client sender: serialize a response back to the client.
     SerializeClient {
-        /// The completed request.
-        request: RequestId,
+        /// The completed root request.
+        request: u64,
+        /// Its submission time, which the sharded backend carries
+        /// in-message (it keeps no request table); the sequential
+        /// backend reads its table instead and leaves this zero.
+        root_start: Nanos,
         /// Response payload size.
         bytes: u64,
     },
 }
 
+impl<M: Msg> StageItem<M> {
+    /// The root request of a queued item (trace and breakdown key).
+    #[inline]
+    pub(crate) fn request(&self) -> u64 {
+        match self {
+            StageItem::Deserialize(m) | StageItem::Execute(m) => m.request(),
+            StageItem::SerializeRemote { msg, .. } => msg.request(),
+            StageItem::SerializeClient { request, .. } => *request,
+        }
+    }
+}
+
 /// What happens when a stage task's compute (and blocking wait) finishes.
 #[derive(Debug, Clone)]
-pub(crate) enum PostAction {
+pub enum PostAction<M = Message> {
     /// Receiver finished deserializing: hand the message to the worker.
-    RouteToWorker(Message),
+    RouteToWorker(M),
     /// Worker finished a request handler: apply its reaction.
     ApplyRequest {
         /// The processed request message.
-        msg: Message,
+        msg: M,
         /// The handler's decision (captured when the task started).
         reaction: Reaction,
     },
     /// Worker finished a response continuation: fold into the join.
-    ApplyResponse(Message),
+    ApplyResponse(M),
     /// Worker found the target actor is not hosted here: re-route.
-    Forward(Message),
+    Forward(M),
     /// Server sender finished serializing: put the message on the wire.
     NetSend {
         /// Destination server.
         dst: usize,
         /// The message on the wire.
-        msg: Message,
+        msg: M,
     },
     /// Client sender finished serializing: the response leaves the cluster.
     ClientReply {
-        /// The completed request.
-        request: RequestId,
+        /// The completed root request.
+        request: u64,
+        /// Its submission time (see [`StageItem::SerializeClient`]).
+        root_start: Nanos,
         /// Response payload size (drives the network delay).
         bytes: u64,
     },
@@ -128,7 +169,7 @@ pub(crate) enum PostAction {
     /// backoff instead of serving with lost state.
     SnapshotDefer {
         /// The message whose execution is deferred.
-        msg: Message,
+        msg: M,
         /// Deterministic backoff before the re-run.
         backoff: Nanos,
     },
@@ -136,19 +177,23 @@ pub(crate) enum PostAction {
 
 /// A task currently executing on a server's CPU.
 #[derive(Debug, Clone)]
-pub struct RunningTask {
+pub struct RunningTask<P = PostAction> {
     /// Stage index the task belongs to.
     pub(crate) stage: usize,
     /// Action to apply at completion.
-    pub(crate) post: PostAction,
+    pub(crate) post: P,
     /// When the task started (thread picked it up).
     pub(crate) started: Nanos,
     /// Pure CPU demand, nanoseconds.
     pub(crate) cpu_ns: f64,
     /// Synchronous blocking time after compute, nanoseconds.
     pub(crate) wait_ns: f64,
-    /// Root request, for breakdown accounting.
-    pub(crate) request: RequestId,
+    /// Root request, for trace spans and breakdown accounting.
+    pub(crate) request: u64,
+    /// The incarnation of the server process the task started in: a
+    /// blocking wait can outlive its process, and then must not finish
+    /// on the next one.
+    pub(crate) incarnation: u32,
 }
 
 /// A pending fan-out join.

@@ -50,6 +50,8 @@ pub struct Server<I = StageItem, T = RunningTask> {
     pub(crate) stages: [StagePool<I>; 4],
     /// The pending CPU-completion event, if any.
     pub(crate) cpu_event: Option<(Nanos, EventId)>,
+    /// Reused buffer for the tasks one CPU-completion event collects.
+    pub(crate) done: Vec<T>,
     /// The server's heavy-edge sample: `(local actor, peer actor) -> msgs`.
     pub edge_sketch: SpaceSaving<(ActorId, ActorId)>,
     /// Location hints left behind by migrations (§4.3). Fx-hashed:
@@ -64,6 +66,9 @@ pub struct Server<I = StageItem, T = RunningTask> {
     /// detection window: `actor -> cpu ns`. Offered only when hot-actor
     /// replication is enabled; cleared at every detection tick.
     pub load_sketch: SpaceSaving<ActorId>,
+    /// How many times this server's process has restarted: each crash
+    /// installs a fresh process one incarnation later.
+    pub(crate) incarnation: u32,
 }
 
 /// Bound on location-cache entries; reaching it evicts the whole cache
@@ -89,12 +94,28 @@ impl<I, T> Server<I, T> {
                 StagePool::new(StageKind::ClientSender.name(), threads),
             ],
             cpu_event: None,
+            done: Vec::new(),
             edge_sketch: SpaceSaving::new(config.sketch_capacity),
             location_cache: FxHashMap::default(),
             windows: [StageWindow::default(); 4],
             last_exchange_ns: None,
             load_sketch: SpaceSaving::new(config.sketch_capacity),
+            incarnation: 0,
         }
+    }
+
+    /// Restarts the process after a crash: cancels its pending CPU
+    /// completion and replaces every piece of process state (queues, CPU,
+    /// running tasks, sketches, caches) with a fresh boot's, one
+    /// incarnation later.
+    pub(crate) fn restart<W>(&mut self, engine: &mut Engine<W>, config: &RuntimeConfig) {
+        if let Some((_, id)) = self.cpu_event.take() {
+            engine.cancel(id);
+        }
+        *self = Server {
+            incarnation: self.incarnation + 1,
+            ..Server::new(self.id, config)
+        };
     }
 
     /// Current thread allocation, in stage order.

@@ -44,8 +44,10 @@
 //! * Transport retries pick their failover target deterministically at
 //!   schedule time (no shared gateway RNG stream).
 //! * Unsupported features are rejected at build time: failure detectors,
-//!   hiccups, latency breakdown, request timeouts, migration transfer
-//!   windows, and link faults.
+//!   hiccups, latency breakdown, request timeouts and migration transfer
+//!   windows. Link faults are not a configuration field but a runtime
+//!   call on the sequential cluster (`Cluster::set_link_fault`); the
+//!   sharded backend has no such call, so nothing can install one.
 //! * Snapshots run the same state machine as the legacy backend
 //!   (`actop_snapshot::SnapshotState`), but replace its marker protocol
 //!   with an **instant cut**: the serial point that begins a round marks
@@ -66,8 +68,8 @@ use std::sync::Arc;
 
 use actop_partition::{CostSignals, DenseDirectory, PartitionView, PolicyHost, ViewScope};
 use actop_sim::{
-    mix64, start_next, ConservativeRunner, DetRng, Engine, GlobalCtx, Nanos, OutMsg, PhaseCell,
-    ShardCell, ShardWorld, StagePool, Subsystem,
+    mix64, ConservativeRunner, DetRng, Engine, GlobalCtx, Nanos, OutMsg, PhaseCell, ShardCell,
+    ShardWorld,
 };
 use actop_sketch::FxHashMap;
 use actop_snapshot::{
@@ -82,12 +84,14 @@ use crate::config::{ReplicationConfig, RuntimeConfig};
 use crate::ids::{ActorId, StageKind};
 use crate::metrics::{Accounting, ClusterMetrics};
 use crate::obs::Observability;
+use crate::process::{crash, Process, ProcessHost, Task};
+use crate::proto::{Msg, PostAction, StageItem};
 use crate::replication::{
-    crash_drops, hash, note_replica_drop, note_replica_request, note_split, rendezvous,
-    replica_admits, replication_round,
+    hash, note_replica_drop, note_replica_request, note_split, rendezvous, replica_admits,
+    replication_round,
 };
 use crate::server::Server;
-use crate::snapshot::{note_abort, note_begin, note_marker, note_sweep, note_touch};
+use crate::snapshot::{note_begin, note_marker, note_sweep, note_touch};
 use crate::table::SlabTable;
 
 // ---------------------------------------------------------------------
@@ -185,67 +189,23 @@ pub(crate) struct SMsg {
     pub hops: u8,
 }
 
+impl Msg for SMsg {
+    #[inline]
+    fn request(&self) -> u64 {
+        self.request
+    }
+
+    #[inline]
+    fn bytes(&self) -> u64 {
+        self.bytes
+    }
+}
+
 /// A message on the wire between servers, routed via the runner's outbox.
 pub struct Wire {
     pub(crate) src: u32,
     pub(crate) dst: u32,
     pub(crate) msg: SMsg,
-}
-
-/// An item sitting in a SEDA stage queue.
-#[derive(Debug, Clone)]
-pub(crate) enum SItem {
-    Deserialize(SMsg),
-    Execute(SMsg),
-    SerializeRemote {
-        dst: usize,
-        msg: SMsg,
-    },
-    SerializeClient {
-        request: u64,
-        root_start: Nanos,
-        bytes: u64,
-    },
-}
-
-/// What happens when a stage task's compute (and blocking wait) finishes.
-#[derive(Debug, Clone)]
-pub(crate) enum SPost {
-    RouteToWorker(SMsg),
-    ApplyRequest {
-        msg: SMsg,
-        reaction: Reaction,
-    },
-    ApplyResponse(SMsg),
-    Forward(SMsg),
-    NetSend {
-        dst: usize,
-        msg: SMsg,
-    },
-    ClientReply {
-        request: u64,
-        root_start: Nanos,
-        bytes: u64,
-    },
-    /// The target actor needs a snapshot restore but the store server is
-    /// down: re-deliver the execute to this same server through the
-    /// outbox after a deterministic backoff (which build validation pins
-    /// at or above the lookahead).
-    SnapshotDefer {
-        msg: SMsg,
-        backoff: Nanos,
-    },
-}
-
-/// A task currently executing on a server's CPU.
-#[derive(Debug, Clone)]
-pub(crate) struct SRunning {
-    pub stage: usize,
-    pub post: SPost,
-    pub started: Nanos,
-    pub cpu_ns: f64,
-    pub wait_ns: f64,
-    pub request: u64,
 }
 
 /// A pending fan-out join, owned by the server that issued the fan-out.
@@ -284,7 +244,7 @@ pub(crate) struct DirOp {
 pub(crate) struct ServerSlot {
     /// Its sketches take offers in per-server event order, so their
     /// contents are shard-layout invariant.
-    pub server: Server<SItem, SRunning>,
+    pub server: Server<StageItem<SMsg>, Task<ShardedCluster>>,
     /// This server's window-local placements: entries it minted since the
     /// last barrier, not yet in the shared directory. Private per server so
     /// routing never observes another shard's concurrent decisions.
@@ -309,16 +269,6 @@ impl ServerSlot {
             out_seq: 0,
             busy_snapshot: 0.0,
         }
-    }
-
-    /// Replaces the process state after a crash: queues, CPU, running
-    /// tasks, sketches, caches, and joins are lost. The RNG streams and
-    /// outbox sequence survive — they belong to the server identity, and
-    /// keeping them preserves the per-server draw order determinism.
-    fn reset_process(&mut self, config: &RuntimeConfig) {
-        self.server = Server::new(self.server.id, config);
-        self.dir_overlay.clear();
-        self.joins = SlabTable::new();
     }
 }
 
@@ -362,8 +312,6 @@ pub struct ShardedCluster {
     /// received (empty without snapshots; summed over the shards at each
     /// cut).
     pub(crate) snap_links: LinkCounters,
-    /// Reused buffer for the tasks one CPU-completion event collects.
-    cpu_done_buf: Vec<SRunning>,
     /// View buffer lent to partition rounds (shard 0's is the one used;
     /// see [`ShardedHost`]).
     policy_view: PartitionView<ActorId>,
@@ -376,8 +324,10 @@ pub struct ShardedCluster {
 ///
 /// Panics when the configuration uses a feature the sharded backend does
 /// not support (failure detector, hiccups, breakdown recording, request
-/// timeouts, migration transfer windows) or when the network delay floor
-/// is zero (no conservative lookahead would exist).
+/// timeouts, migration transfer windows), when the network delay floor
+/// is zero (no conservative lookahead would exist), or when a backoff
+/// that re-delivers through the outbox is below that floor: the retry
+/// base backoff, or with snapshots the restore backoff.
 pub fn build_sharded(
     config: RuntimeConfig,
     app: Box<dyn AppLogic + Send + Sync>,
@@ -470,7 +420,6 @@ pub fn build_sharded(
                 snap_journal_ops: Vec::new(),
                 snap_defer_attempts: FxHashMap::default(),
                 snap_links: LinkCounters::new(ctx.snap.as_ref().map_or(0, |_| servers)),
-                cpu_done_buf: Vec::new(),
                 policy_view: PartitionView::new(),
             }
         })
@@ -478,7 +427,7 @@ pub fn build_sharded(
 }
 
 // SAFETY: every event scheduled into a shard's engine captures only `Copy`
-// message structs, plain indices, or `SRunning` (owned plain data) — all
+// message structs, plain indices, or running tasks (owned plain data) — all
 // `Send`. Shared state is reached through `Arc<ShardCtx>`, which is
 // `Send + Sync` by construction.
 unsafe impl ShardWorld for ShardedCluster {
@@ -671,33 +620,23 @@ impl ShardedCluster {
         idx
     }
 
-    /// Whether `server` is currently failed. Reads the shared flags, which
-    /// only change at barriers.
-    #[inline]
-    fn server_failed(&self, server: usize) -> bool {
-        // SAFETY: `failed` is written only from the serial phase; windows
-        // and the serial thread both may read.
-        let failed = unsafe { self.ctx.failed.get() };
-        failed[server]
-    }
-
     /// First live server at or after `preferred` (wrapping).
     fn try_next_live(&self, preferred: usize) -> Option<usize> {
-        // SAFETY: as in `server_failed`.
+        // SAFETY: as in `is_down`.
         let failed = unsafe { self.ctx.failed.get() };
         let n = self.ctx.topo.servers;
         (0..n).map(|i| (preferred + i) % n).find(|&s| !failed[s])
     }
 
     // ------------------------------------------------------------------
-    // Message movement (mirrors `Cluster` hop for hop).
+    // Message movement (the wire side; the SEDA pump is `process.rs`).
     // ------------------------------------------------------------------
 
     /// A message arrives on the wire at `server` (always local to this
     /// shard) and enters the receiver stage.
     fn wire_arrive(&mut self, engine: &mut Engine<ShardedCluster>, server: usize, mut msg: SMsg) {
         msg.delivered_remotely = true;
-        if self.server_failed(server) {
+        if self.is_down(server) {
             self.metrics.lost_in_flight += 1;
             if self.trace.enabled() {
                 self.trace.record(SpanEvent::instant(
@@ -743,7 +682,7 @@ impl ShardedCluster {
             engine,
             server,
             StageKind::Receiver.index(),
-            SItem::Deserialize(msg),
+            StageItem::Deserialize(msg),
         );
     }
 
@@ -828,343 +767,6 @@ impl ShardedCluster {
                 msg,
             },
         });
-    }
-
-    /// Pushes an item into a stage queue and pumps the server.
-    fn enqueue(
-        &mut self,
-        engine: &mut Engine<ShardedCluster>,
-        server: usize,
-        stage: usize,
-        item: SItem,
-    ) {
-        let now = engine.now();
-        let idx = self.slot_idx(server);
-        self.slots[idx].server.stages[stage].push(now, item);
-        self.pump(engine, server);
-    }
-
-    /// Starts queued items on every stage with a free thread, then re-arms
-    /// the CPU completion event. One pass suffices: starting an item never
-    /// enqueues one.
-    fn pump(&mut self, engine: &mut Engine<ShardedCluster>, server: usize) {
-        if self.server_failed(server) {
-            return;
-        }
-        let now = engine.now();
-        let idx = self.slot_idx(server);
-        let mut from = 0;
-        let mut next = engine.cost_attr_mut().time(Subsystem::Cpu, || {
-            start_next(&mut self.slots[idx].server.stages, &mut from, now)
-        });
-        while let Some((stage, item, wait)) = next {
-            if self.trace.enabled() {
-                self.trace.record(SpanEvent {
-                    request: item_request(&item),
-                    kind: HopKind::QueueWait,
-                    server: server as u32,
-                    stage: stage as u8,
-                    aux: 0,
-                    t_start: now.saturating_sub(wait),
-                    t_end: now,
-                });
-            }
-            let (cpu_ns, wait_ns, post, request) = self.prepare(now, server, item);
-            let cpu_ns = cpu_ns.max(1.0);
-            let task = SRunning {
-                stage,
-                post,
-                started: now,
-                cpu_ns,
-                wait_ns,
-                request,
-            };
-            next = engine.cost_attr_mut().time(Subsystem::Cpu, || {
-                let slot = &mut self.slots[idx];
-                slot.server.cpu.add(now, cpu_ns, task);
-                start_next(&mut slot.server.stages, &mut from, now)
-            });
-        }
-        debug_assert!(
-            !self.slots[idx]
-                .server
-                .stages
-                .iter()
-                .any(StagePool::can_start),
-            "prepare enqueued work behind the pump"
-        );
-        self.sync_cpu(engine, server);
-    }
-
-    /// Computes a stage item's CPU demand, blocking time, and completion
-    /// action. Worker requests invoke the shared application logic with the
-    /// *server's* RNG stream.
-    fn prepare(&mut self, now: Nanos, server: usize, item: SItem) -> (f64, f64, SPost, u64) {
-        let costs = &self.ctx.config.costs;
-        match item {
-            SItem::Deserialize(msg) => (
-                costs.deserialize_ns(msg.bytes),
-                0.0,
-                SPost::RouteToWorker(msg),
-                msg.request,
-            ),
-            SItem::Execute(msg) => match msg.kind {
-                SKind::Request { .. } => {
-                    // Hosted = directory entry, or our own window-local
-                    // placement not yet flushed to the directory.
-                    // SAFETY: window-phase read; writers only at barriers.
-                    let dir = unsafe { self.ctx.directory.get() };
-                    let dir_primary = dir.server_of(msg.to.0) == Some(server);
-                    let mut hosted = match dir.server_of(msg.to.0) {
-                        Some(s) => s == server,
-                        None => {
-                            self.slots[self.local_idx[server]]
-                                .dir_overlay
-                                .get(&msg.to.0)
-                                == Some(&(server as u32))
-                        }
-                    };
-                    // A replica activation executes reads in place; a write
-                    // that lands here falls through to the forward path and
-                    // reaches the primary (replica sets change only at
-                    // barriers, so this check is shard-layout invariant).
-                    if !hosted {
-                        let replication = self.ctx.config.replication.as_ref();
-                        if let Some(read) =
-                            replica_admits(replication, dir, msg.to.0, server, msg.tag)
-                        {
-                            hosted = read;
-                            let (request, actor) = (msg.request, msg.to.0);
-                            note_replica_request(self, now, server, request, actor, read);
-                        }
-                    }
-                    if !hosted {
-                        return (
-                            self.ctx.config.costs.dispatch_fixed_ns,
-                            0.0,
-                            SPost::Forward(msg),
-                            msg.request,
-                        );
-                    }
-                    // Snapshot state attaches only to directory-hosted
-                    // primary executions: an activation still pending in a
-                    // window-local overlay may lose its placement conflict
-                    // at the barrier, so its first-window touches carry no
-                    // state (a documented deviation from the sequential
-                    // cluster). The gate makes every state touch happen on
-                    // the actor's unique host, which is what keeps version
-                    // sequences exact across shard layouts.
-                    let (snap_cpu, snap_wait) = if self.ctx.snap.is_some() && dir_primary {
-                        match self.snapshot_touch(now, server, msg.to.0, msg.tag) {
-                            Touch::Proceed(t) => (t.cpu_ns, t.blocking_ns),
-                            Touch::Defer(backoff) => {
-                                return (
-                                    self.ctx.config.costs.dispatch_fixed_ns,
-                                    0.0,
-                                    SPost::SnapshotDefer { msg, backoff },
-                                    msg.request,
-                                );
-                            }
-                        }
-                    } else {
-                        (0.0, 0.0)
-                    };
-                    let costs = &self.ctx.config.costs;
-                    let local_copy = if !msg.delivered_remotely && msg.from_actor.is_some() {
-                        costs.local_copy_ns(msg.bytes)
-                    } else {
-                        0.0
-                    };
-                    let ctx = &self.ctx;
-                    let slot = &mut self.slots[self.local_idx[server]];
-                    let reaction = ctx.app.on_request(msg.to, msg.tag, &mut slot.rng_app);
-                    if ctx.config.replication.is_some() {
-                        slot.server
-                            .load_sketch
-                            .offer(msg.to, reaction.cpu_ns as u64);
-                    }
-                    (
-                        reaction.cpu_ns + local_copy + snap_cpu,
-                        reaction.blocking_ns + snap_wait,
-                        SPost::ApplyRequest { msg, reaction },
-                        msg.request,
-                    )
-                }
-                SKind::Response { .. } => {
-                    // Responses execute on the join's owner server by
-                    // construction — no hosted check, no forwarding.
-                    let local_copy = if !msg.delivered_remotely && msg.from_actor.is_some() {
-                        costs.local_copy_ns(msg.bytes)
-                    } else {
-                        0.0
-                    };
-                    (
-                        self.ctx.app.continuation_cpu_ns() + local_copy,
-                        0.0,
-                        SPost::ApplyResponse(msg),
-                        msg.request,
-                    )
-                }
-            },
-            SItem::SerializeRemote { dst, msg } => (
-                costs.serialize_ns(msg.bytes),
-                0.0,
-                SPost::NetSend { dst, msg },
-                msg.request,
-            ),
-            SItem::SerializeClient {
-                request,
-                root_start,
-                bytes,
-            } => (
-                costs.serialize_ns(bytes),
-                0.0,
-                SPost::ClientReply {
-                    request,
-                    root_start,
-                    bytes,
-                },
-                request,
-            ),
-        }
-    }
-
-    /// Re-arms the pending CPU-completion event (identical retarget-in-
-    /// place discipline as the sequential cluster).
-    fn sync_cpu(&mut self, engine: &mut Engine<ShardedCluster>, server: usize) {
-        let idx = self.slot_idx(server);
-        let next = engine.cost_attr_mut().time(Subsystem::Cpu, || {
-            self.slots[idx].server.cpu.next_completion()
-        });
-        self.slots[idx]
-            .server
-            .sync_cpu_event(engine, next, Self::cpu_tick);
-    }
-
-    /// The CPU-completion event in tick form (payload = global server id).
-    fn cpu_tick(world: &mut ShardedCluster, engine: &mut Engine<ShardedCluster>, server: u64) {
-        world.cpu_done(engine, server as usize);
-    }
-
-    /// The CPU-completion event: collect finished compute phases, run
-    /// their blocking waits, finish tasks, and pump.
-    fn cpu_done(&mut self, engine: &mut Engine<ShardedCluster>, server: usize) {
-        if self.server_failed(server) {
-            return; // The event raced with a crash; the work is gone.
-        }
-        let idx = self.slot_idx(server);
-        self.slots[idx].server.cpu_event = None;
-        let now = engine.now();
-        let mut done = std::mem::take(&mut self.cpu_done_buf);
-        engine.cost_attr_mut().time(Subsystem::Cpu, || {
-            self.slots[idx].server.cpu.drain_completed(now, &mut done)
-        });
-        for task in done.drain(..) {
-            if task.wait_ns > 0.0 {
-                let wait = Nanos::from_nanos_f64(task.wait_ns);
-                engine.schedule_after(wait, move |w: &mut ShardedCluster, e| {
-                    w.task_finished(e, server, task);
-                });
-            } else {
-                self.task_finished(engine, server, task);
-            }
-        }
-        self.cpu_done_buf = done;
-        self.pump(engine, server);
-    }
-
-    /// A stage task fully finished: free the thread, record the estimator
-    /// window, apply the completion action.
-    fn task_finished(
-        &mut self,
-        engine: &mut Engine<ShardedCluster>,
-        server: usize,
-        task: SRunning,
-    ) {
-        if self.server_failed(server) {
-            return; // A blocking wait outlived its server's crash.
-        }
-        let now = engine.now();
-        let idx = self.slot_idx(server);
-        self.slots[idx].server.stages[task.stage].finish(now);
-        let window = &mut self.slots[idx].server.windows[task.stage];
-        window.completions += 1;
-        window.sum_wallclock_ns += (now - task.started).as_nanos() as f64;
-        window.sum_cpu_ns += task.cpu_ns;
-        if self.trace.enabled() {
-            self.trace.record(SpanEvent {
-                request: task.request,
-                kind: HopKind::Service,
-                server: server as u32,
-                stage: task.stage as u8,
-                aux: 0,
-                t_start: task.started,
-                t_end: now,
-            });
-        }
-        match task.post {
-            SPost::RouteToWorker(msg) => {
-                self.enqueue(
-                    engine,
-                    server,
-                    StageKind::Worker.index(),
-                    SItem::Execute(msg),
-                );
-            }
-            SPost::ApplyRequest { msg, reaction } => {
-                self.apply_request(engine, server, msg, reaction);
-            }
-            SPost::ApplyResponse(msg) => {
-                self.apply_response(engine, server, msg);
-            }
-            SPost::Forward(msg) => {
-                self.forward(engine, server, msg);
-            }
-            SPost::NetSend { dst, msg } => {
-                self.net_send(engine, server, dst, msg);
-            }
-            SPost::ClientReply {
-                request,
-                root_start,
-                bytes,
-            } => {
-                let delay = self
-                    .ctx
-                    .config
-                    .costs
-                    .network
-                    .delay(&mut self.slots[idx].rng_net, bytes);
-                if self.trace.enabled() {
-                    self.trace.record(SpanEvent {
-                        request,
-                        kind: HopKind::Network,
-                        server: server as u32,
-                        stage: NO_STAGE,
-                        aux: NO_SERVER as u64,
-                        t_start: now,
-                        t_end: now + delay,
-                    });
-                }
-                // Client-side delivery: stays on this shard, no lookahead
-                // constraint.
-                engine.schedule_after(delay, move |w: &mut ShardedCluster, e| {
-                    w.complete_request(e.now(), request, root_start);
-                });
-            }
-            SPost::SnapshotDefer { mut msg, backoff } => {
-                // Re-deliver the execute to this same server through the
-                // outbox (the backoff clears the lookahead by build
-                // validation). The arrival re-enters the receiver stage —
-                // a deferral pays one extra receiver pass here, unlike the
-                // sequential cluster's direct worker re-enqueue. Marking
-                // it forwarded keeps the redelivery out of the
-                // fresh-request admission check.
-                msg.forwarded = true;
-                debug_assert!(backoff.as_nanos() >= self.ctx.lookahead_ns);
-                self.push_wire(now + backoff, server, server, msg);
-            }
-        }
-        self.pump(engine, server);
     }
 
     /// Puts a server-to-server message on the wire via the outbox. The
@@ -1320,14 +922,14 @@ impl ShardedCluster {
                 engine,
                 server,
                 StageKind::ServerSender.index(),
-                SItem::SerializeRemote { dst, msg },
+                StageItem::SerializeRemote { dst, msg },
             );
         } else {
             self.enqueue(
                 engine,
                 server,
                 StageKind::Worker.index(),
-                SItem::Execute(msg),
+                StageItem::Execute(msg),
             );
         }
     }
@@ -1394,7 +996,7 @@ impl ShardedCluster {
                     engine,
                     server,
                     StageKind::ClientSender.index(),
-                    SItem::SerializeClient {
+                    StageItem::SerializeClient {
                         request,
                         root_start,
                         bytes,
@@ -1430,14 +1032,14 @@ impl ShardedCluster {
                         engine,
                         server,
                         StageKind::ServerSender.index(),
-                        SItem::SerializeRemote { dst, msg },
+                        StageItem::SerializeRemote { dst, msg },
                     );
                 } else {
                     self.enqueue(
                         engine,
                         server,
                         StageKind::Worker.index(),
-                        SItem::Execute(msg),
+                        StageItem::Execute(msg),
                     );
                 }
             }
@@ -1482,14 +1084,14 @@ impl ShardedCluster {
                 engine,
                 server,
                 StageKind::Worker.index(),
-                SItem::Execute(msg),
+                StageItem::Execute(msg),
             );
         } else {
             self.enqueue(
                 engine,
                 server,
                 StageKind::ServerSender.index(),
-                SItem::SerializeRemote { dst, msg },
+                StageItem::SerializeRemote { dst, msg },
             );
         }
     }
@@ -1540,7 +1142,7 @@ impl ShardedCluster {
                         // Failed servers are purged from the directory
                         // eagerly (serial phase), so every candidate is
                         // live; the filter is cheap insurance.
-                        // SAFETY: as in `server_failed`.
+                        // SAFETY: as in `is_down`.
                         let failed = unsafe { self.ctx.failed.get() };
                         let live = std::iter::once(primary as u32)
                             .chain(reps.iter().copied())
@@ -1569,6 +1171,8 @@ impl ShardedCluster {
         if let Some(&s) = self.slots[idx].dir_overlay.get(&actor.0) {
             return s as usize;
         }
+        // SAFETY: as for the directory: the failure flags change only from
+        // the serial phase.
         let failed = unsafe { self.ctx.failed.get() };
         let hint = self.slots[idx]
             .server
@@ -1713,26 +1317,222 @@ impl ShardedCluster {
     pub fn thread_allocation(&self, server: usize) -> [usize; 4] {
         self.slots[self.slot_idx(server)].server.thread_allocation()
     }
+}
 
-    /// Reconfigures a local server's per-stage thread allocation.
-    fn set_stage_threads(
+/// The sharded hooks: a slot's server, the shared failure flags, and the
+/// sharded message lifecycle (joins on their owner, wire re-delivery).
+impl Process for ShardedCluster {
+    type Msg = SMsg;
+
+    #[inline]
+    fn server(&mut self, id: usize) -> &mut Server<StageItem<SMsg>, Task<ShardedCluster>> {
+        let idx = self.slot_idx(id);
+        &mut self.slots[idx].server
+    }
+
+    /// Reads the shared flags, which only change at barriers.
+    #[inline]
+    fn is_down(&self, server: usize) -> bool {
+        // SAFETY: `failed` is written only from the serial phase; windows
+        // and the serial thread both may read.
+        let failed = unsafe { self.ctx.failed.get() };
+        failed[server]
+    }
+
+    fn set_down(&mut self, _now: Nanos, server: usize, down: bool) {
+        // SAFETY: serial phase (crash and recovery run from global
+        // events); no window reader is live.
+        let failed = unsafe { self.ctx.failed.get_mut() };
+        failed[server] = down;
+    }
+
+    /// Worker requests draw from the *server's* RNG stream.
+    fn prepare(&mut self, now: Nanos, server: usize, msg: SMsg) -> (f64, f64, PostAction<SMsg>) {
+        let costs = &self.ctx.config.costs;
+        match msg.kind {
+            SKind::Request { .. } => {
+                // Hosted = directory entry, or our own window-local
+                // placement not yet flushed to the directory.
+                // SAFETY: window-phase read; writers only at barriers.
+                let dir = unsafe { self.ctx.directory.get() };
+                let dir_primary = dir.server_of(msg.to.0) == Some(server);
+                let mut hosted = match dir.server_of(msg.to.0) {
+                    Some(s) => s == server,
+                    None => {
+                        self.slots[self.local_idx[server]]
+                            .dir_overlay
+                            .get(&msg.to.0)
+                            == Some(&(server as u32))
+                    }
+                };
+                // A replica activation executes reads in place; a write
+                // that lands here falls through to the forward path and
+                // reaches the primary (replica sets change only at
+                // barriers, so this check is shard-layout invariant).
+                if !hosted {
+                    let replication = self.ctx.config.replication.as_ref();
+                    if let Some(read) = replica_admits(replication, dir, msg.to.0, server, msg.tag)
+                    {
+                        hosted = read;
+                        let (request, actor) = (msg.request, msg.to.0);
+                        note_replica_request(self, now, server, request, actor, read);
+                    }
+                }
+                if !hosted {
+                    return (
+                        self.ctx.config.costs.dispatch_fixed_ns,
+                        0.0,
+                        PostAction::Forward(msg),
+                    );
+                }
+                // Snapshot state attaches only to directory-hosted
+                // primary executions: an activation still pending in a
+                // window-local overlay may lose its placement conflict
+                // at the barrier, so its first-window touches carry no
+                // state (a documented deviation from the sequential
+                // cluster). The gate makes every state touch happen on
+                // the actor's unique host, which is what keeps version
+                // sequences exact across shard layouts.
+                let (snap_cpu, snap_wait) = if self.ctx.snap.is_some() && dir_primary {
+                    match self.snapshot_touch(now, server, msg.to.0, msg.tag) {
+                        Touch::Proceed(t) => (t.cpu_ns, t.blocking_ns),
+                        Touch::Defer(backoff) => {
+                            return (
+                                self.ctx.config.costs.dispatch_fixed_ns,
+                                0.0,
+                                PostAction::SnapshotDefer { msg, backoff },
+                            );
+                        }
+                    }
+                } else {
+                    (0.0, 0.0)
+                };
+                let costs = &self.ctx.config.costs;
+                let local_copy = if !msg.delivered_remotely && msg.from_actor.is_some() {
+                    costs.local_copy_ns(msg.bytes)
+                } else {
+                    0.0
+                };
+                let ctx = &self.ctx;
+                let slot = &mut self.slots[self.local_idx[server]];
+                let reaction = ctx.app.on_request(msg.to, msg.tag, &mut slot.rng_app);
+                if ctx.config.replication.is_some() {
+                    slot.server
+                        .load_sketch
+                        .offer(msg.to, reaction.cpu_ns as u64);
+                }
+                (
+                    reaction.cpu_ns + local_copy + snap_cpu,
+                    reaction.blocking_ns + snap_wait,
+                    PostAction::ApplyRequest { msg, reaction },
+                )
+            }
+            SKind::Response { .. } => {
+                // Responses execute on the join's owner server by
+                // construction — no hosted check, no forwarding.
+                let local_copy = if !msg.delivered_remotely && msg.from_actor.is_some() {
+                    costs.local_copy_ns(msg.bytes)
+                } else {
+                    0.0
+                };
+                (
+                    self.ctx.app.continuation_cpu_ns() + local_copy,
+                    0.0,
+                    PostAction::ApplyResponse(msg),
+                )
+            }
+        }
+    }
+
+    fn dispatch(
         &mut self,
         engine: &mut Engine<ShardedCluster>,
         server: usize,
-        allocation: [usize; 4],
+        post: PostAction<SMsg>,
     ) {
-        let idx = self.slot_idx(server);
-        self.slots[idx].server.set_threads(engine.now(), allocation);
-        self.pump(engine, server);
+        let now = engine.now();
+        match post {
+            PostAction::RouteToWorker(msg) => {
+                self.enqueue(
+                    engine,
+                    server,
+                    StageKind::Worker.index(),
+                    StageItem::Execute(msg),
+                );
+            }
+            PostAction::ApplyRequest { msg, reaction } => {
+                self.apply_request(engine, server, msg, reaction);
+            }
+            PostAction::ApplyResponse(msg) => {
+                self.apply_response(engine, server, msg);
+            }
+            PostAction::Forward(msg) => {
+                self.forward(engine, server, msg);
+            }
+            PostAction::NetSend { dst, msg } => {
+                self.net_send(engine, server, dst, msg);
+            }
+            PostAction::ClientReply {
+                request,
+                root_start,
+                bytes,
+            } => {
+                let delay = self
+                    .ctx
+                    .config
+                    .costs
+                    .network
+                    .delay(&mut self.slots[self.local_idx[server]].rng_net, bytes);
+                if self.trace.enabled() {
+                    self.trace.record(SpanEvent {
+                        request,
+                        kind: HopKind::Network,
+                        server: server as u32,
+                        stage: NO_STAGE,
+                        aux: NO_SERVER as u64,
+                        t_start: now,
+                        t_end: now + delay,
+                    });
+                }
+                // Client-side delivery: stays on this shard, no lookahead
+                // constraint.
+                engine.schedule_after(delay, move |w: &mut ShardedCluster, e| {
+                    w.complete_request(e.now(), request, root_start);
+                });
+            }
+            PostAction::SnapshotDefer { mut msg, backoff } => {
+                // Re-deliver the execute to this same server through the
+                // outbox (the backoff clears the lookahead by build
+                // validation). The arrival re-enters the receiver stage —
+                // a deferral pays one extra receiver pass here, unlike the
+                // sequential cluster's direct worker re-enqueue. Marking
+                // it forwarded keeps the redelivery out of the
+                // fresh-request admission check.
+                msg.forwarded = true;
+                debug_assert!(backoff.as_nanos() >= self.ctx.lookahead_ns);
+                self.push_wire(now + backoff, server, server, msg);
+            }
+        }
     }
-}
 
-/// Request key of a stage item (for trace spans).
-fn item_request(item: &SItem) -> u64 {
-    match item {
-        SItem::Deserialize(m) | SItem::Execute(m) => m.request,
-        SItem::SerializeRemote { msg, .. } => msg.request,
-        SItem::SerializeClient { request, .. } => *request,
+    fn config(&self) -> &RuntimeConfig {
+        &self.ctx.config
+    }
+
+    fn tracer(&mut self) -> &mut Tracer {
+        &mut self.trace
+    }
+
+    /// The slot's RNG streams and outbox sequence survive: they belong to
+    /// the server identity, and keeping them preserves the per-server
+    /// draw order. The placement overlay and the joins die with the
+    /// process.
+    fn restart(&mut self, engine: &mut Engine<ShardedCluster>, server: usize) {
+        let idx = self.slot_idx(server);
+        let slot = &mut self.slots[idx];
+        slot.server.restart(engine, &self.ctx.config);
+        slot.dir_overlay.clear();
+        slot.joins = SlabTable::new();
     }
 }
 
@@ -2076,8 +1876,7 @@ impl AgentHost for ShardedHost<'_, '_> {
 
     fn set_stage_threads(&mut self, server: usize, allocation: [usize; 4]) {
         let cell = self.cell(server);
-        cell.world
-            .set_stage_threads(&mut cell.engine, server, allocation);
+        Process::set_stage_threads(&mut cell.world, &mut cell.engine, server, allocation);
     }
 
     fn take_split_candidates(&mut self, server: usize, min_load_ns: u64) -> Vec<(u64, u64)> {
@@ -2123,6 +1922,31 @@ impl AgentHost for ShardedHost<'_, '_> {
             let world = &mut self.cell(primary).world;
             note_replica_drop(world, now, actor.0, primary as u32, server as u32);
         }
+    }
+}
+
+impl ProcessHost for ShardedHost<'_, '_> {
+    type World = ShardedCluster;
+
+    fn world(&mut self, server: usize) -> (&mut ShardedCluster, &mut Engine<ShardedCluster>) {
+        let cell = self.cell(server);
+        (&mut cell.world, &mut cell.engine)
+    }
+
+    /// The sharded backend has no failure detector.
+    fn oracle(&self) -> bool {
+        true
+    }
+
+    fn directory_mut(&mut self) -> &mut DenseDirectory {
+        // SAFETY: serial phase.
+        unsafe { self.shared.directory.get_mut() }
+    }
+
+    /// Accounted on the shard owning the store server.
+    fn snapshot_crash(&mut self, server: usize) -> Option<(&mut ShardedCluster, u64)> {
+        let (snap, w) = snap_of(self.ctx, &self.shared)?;
+        snap.crash(server).map(|id| (w, id))
     }
 }
 
@@ -2283,67 +2107,19 @@ fn sharded_snapshot_begin(ctx: Ctx<'_, '_>, cfg: SnapshotConfig, horizon: Nanos)
     }
 }
 
-/// Crashes a server: queues, running tasks, sketches, caches, and joins
-/// are lost; its directory entries are purged (the whole cluster learns
-/// instantly, the legacy oracle). Virtual actors re-activate elsewhere on
-/// their next message.
+/// Crashes a server (see the crash order in `process::crash`): queues,
+/// running tasks, sketches, caches, and joins are lost, and its directory
+/// entries are purged (the whole cluster learns instantly, the legacy
+/// oracle). Virtual actors re-activate elsewhere on their next message.
 pub fn fail_server_sharded(ctx: Ctx<'_, '_>, server: usize) {
-    let shared = shared_of(ctx);
-    {
-        // SAFETY: serial phase.
-        let failed = unsafe { shared.failed.get_mut() };
-        if failed[server] {
-            return;
-        }
-        failed[server] = true;
-    }
     let now = ctx.now;
-    if let Some((snap, w)) = snap_of(ctx, &shared) {
-        if let Some(id) = snap.crash(server) {
-            note_abort(w, now, server, id);
-        }
-    }
-    // Replicas die with their host or their primary, each recorded as an
-    // explicit drop on the shard owning the actor's primary, so the merged
-    // trace tells the same replica-lifetime story as the legacy backend.
-    // SAFETY: serial phase.
-    let drops = crash_drops(unsafe { shared.directory.get() }, server);
-    let host = &mut ShardedHost::new(ctx, now);
-    for (actor, replica) in drops {
-        host.drop_replica(ActorId(actor), replica);
-    }
-    // SAFETY: serial phase.
-    let dir = unsafe { shared.directory.get_mut() };
-    for actor in dir.vertices_on(server) {
-        dir.remove(actor);
-    }
-    let cell = ctx.cell(shared.topo.shard_of(server));
-    cell.world.metrics.server_failures += 1;
-    if cell.world.trace.enabled() {
-        cell.world.trace.record(SpanEvent::instant(
-            0,
-            HopKind::ServerFail,
-            server as u32,
-            0,
-            now,
-        ));
-        cell.world
-            .trace
-            .flight_dump(HopKind::ServerFail, 0, server as u32, now);
-    }
-    let idx = cell.world.local_idx[server];
-    if let Some((_, id)) = cell.world.slots[idx].server.cpu_event.take() {
-        cell.engine.cancel(id);
-    }
-    cell.world.slots[idx].reset_process(&shared.config);
+    crash(&mut ShardedHost::new(ctx, now), server);
 }
 
 /// Brings a crashed server back as a fresh, empty process.
 pub fn recover_server_sharded(ctx: Ctx<'_, '_>, server: usize) {
-    let shared = shared_of(ctx);
-    // SAFETY: serial phase.
-    let failed = unsafe { shared.failed.get_mut() };
-    failed[server] = false;
+    let (now, shard) = (ctx.now, shared_of(ctx).topo.shard_of(server));
+    ctx.cell(shard).world.set_down(now, server, false);
 }
 
 #[cfg(test)]

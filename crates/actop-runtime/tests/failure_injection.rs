@@ -8,8 +8,15 @@
 //! out), that actors redistribute, and that a recovered server rejoins.
 
 use actop_runtime::app::FixedCostApp;
-use actop_runtime::{ActorId, AppLogic, Call, Cluster, Reaction, RuntimeConfig};
-use actop_sim::{DetRng, Engine, Nanos};
+use actop_runtime::sharded::{
+    fail_server_sharded, install_sharded_hooks, recover_server_sharded,
+    submit_client_request_sharded,
+};
+use actop_runtime::{
+    build_sharded, sharded_lookahead, ActorId, AppLogic, Call, Cluster, ClusterMetrics, Reaction,
+    RuntimeConfig,
+};
+use actop_sim::{ConservativeRunner, DetRng, Engine, Nanos};
 
 fn counter_app() -> Box<dyn AppLogic> {
     Box::new(FixedCostApp {
@@ -251,4 +258,108 @@ fn failure_handling_is_deterministic() {
         )
     };
     assert_eq!(run(), run());
+}
+
+/// Every request replies after a 10 ms blocking wait (a synchronous I/O
+/// call the handler makes after its compute).
+struct BlockingApp;
+impl AppLogic for BlockingApp {
+    fn on_request(&self, _actor: ActorId, _tag: u32, _rng: &mut DetRng) -> Reaction {
+        let mut r = Reaction::reply(20_000.0, 200);
+        r.blocking_ns = 10_000_000.0;
+        r
+    }
+}
+
+/// The ghost-wait scenario: 20 requests to distinct actors over 0–2 ms on
+/// two servers, each parked in a 10 ms blocking wait, then server 1
+/// crashes at 4 ms and recovers at 5 ms. The waits that began on the dead
+/// process end at ~12 ms, on the recovered one; they must die with their
+/// process instead of freeing a thread of the fresh one (a panic when no
+/// thread is busy) or replying from beyond the grave.
+const GHOST_REQUESTS: u64 = 20;
+
+fn ghost_gap() -> Nanos {
+    Nanos::from_micros(100)
+}
+
+#[test]
+fn blocking_waits_die_with_their_process_sequential() {
+    let mut cluster = Cluster::new(config(2, 13), Box::new(BlockingApp));
+    let mut engine: Engine<Cluster> = Engine::new();
+    for i in 0..GHOST_REQUESTS {
+        engine.schedule(ghost_gap() * i, move |c: &mut Cluster, e| {
+            c.submit_client_request(e, ActorId(i), 0, 300);
+        });
+    }
+    let on_dead = std::rc::Rc::new(std::cell::Cell::new(0u64));
+    let seen = std::rc::Rc::clone(&on_dead);
+    engine.schedule(Nanos::from_millis(4), move |c: &mut Cluster, e| {
+        seen.set(c.directory.vertices_on(1).len() as u64);
+        c.fail_server(e, 1);
+    });
+    engine.schedule(Nanos::from_millis(5), |c: &mut Cluster, e| {
+        c.recover_server(e.now(), 1);
+    });
+    engine.run(&mut cluster);
+    let m = &cluster.metrics;
+    let lost = on_dead.get();
+    assert!(
+        0 < lost && lost < GHOST_REQUESTS,
+        "both servers host actors"
+    );
+    assert_eq!(m.submitted, GHOST_REQUESTS);
+    assert_eq!(m.completed + m.rejected + m.timed_out, m.submitted);
+    assert!(m.completed > 0);
+    assert!(
+        m.completed <= GHOST_REQUESTS - lost,
+        "a wait on the dead process replied: completed {} with {lost} actors lost",
+        m.completed
+    );
+}
+
+#[test]
+fn blocking_waits_die_with_their_process_sharded() {
+    let mut completed = Vec::new();
+    for shards in [1, 2] {
+        let mut cfg = RuntimeConfig::paper_testbed(13);
+        cfg.servers = 2;
+        let lookahead = sharded_lookahead(&cfg);
+        let series_bin = cfg.series_bin_ns;
+        let worlds = build_sharded(cfg, Box::new(BlockingApp), shards);
+        let mut runner = ConservativeRunner::new(worlds, lookahead);
+        install_sharded_hooks(&mut runner);
+        let mut rng_gw = DetRng::stream(13, 0x90);
+        let mut rng_net = DetRng::stream(13, 0x91);
+        runner.schedule_global(Nanos::ZERO, move |ctx| {
+            for i in 0..GHOST_REQUESTS {
+                let (at, actor) = (ghost_gap() * i, ActorId(i));
+                submit_client_request_sharded(ctx, at, actor, 0, 300, i, &mut rng_gw, &mut rng_net);
+            }
+        });
+        runner.run_until(Nanos::from_millis(4), 1);
+        let dir = runner.cells()[0].world.directory_snapshot();
+        let lost = dir.vertices_on(1).len() as u64;
+        runner.schedule_global(Nanos::from_millis(4), |ctx| fail_server_sharded(ctx, 1));
+        runner.schedule_global(Nanos::from_millis(5), |ctx| recover_server_sharded(ctx, 1));
+        runner.run_until(Nanos::from_millis(100), 1);
+        let mut m = ClusterMetrics::new(series_bin);
+        for cell in runner.cells() {
+            m.merge_from(cell.world.metrics());
+        }
+        assert!(
+            0 < lost && lost < GHOST_REQUESTS,
+            "both servers host actors"
+        );
+        assert_eq!(m.submitted, GHOST_REQUESTS);
+        assert_eq!(m.server_failures, 1);
+        assert!(m.completed > 0);
+        assert!(
+            m.completed <= GHOST_REQUESTS - lost,
+            "a wait on the dead process replied: completed {} with {lost} actors lost",
+            m.completed
+        );
+        completed.push(m.completed);
+    }
+    assert_eq!(completed[0], completed[1], "1 vs 2 shards");
 }
