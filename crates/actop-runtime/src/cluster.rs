@@ -1772,16 +1772,6 @@ impl Cluster {
         self.migrations_in_flight.len()
     }
 
-    /// The first live server at or after `preferred` (wrapping), or `None`
-    /// when every server has failed — callers shed instead of panicking on
-    /// total cluster loss.
-    pub fn try_next_live(&self, preferred: usize) -> Option<usize> {
-        let n = self.servers.len();
-        (0..n)
-            .map(|i| (preferred + i) % n)
-            .find(|&s| !self.failed[s])
-    }
-
     /// Whether a server is currently failed.
     pub fn is_failed(&self, server: usize) -> bool {
         self.failed[server]
@@ -1803,6 +1793,14 @@ impl Cluster {
     /// suspecting *it* until its heartbeats resume.
     pub fn recover_server(&mut self, now: Nanos, server: usize) {
         self.set_down(now, server, false);
+    }
+
+    /// The sequential side of [`ProcessHost::set_down`].
+    fn set_down(&mut self, now: Nanos, server: usize, down: bool) {
+        self.failed[server] = down;
+        if let Some(d) = self.detector.as_mut().filter(|_| !down) {
+            d.reset_observer(server, now);
+        }
     }
 
     /// True when no request is in flight anywhere (drained).
@@ -1940,6 +1938,10 @@ impl ProcessHost for ClusterHost<'_> {
         (self.cluster, self.engine)
     }
 
+    fn set_down(&mut self, server: usize, down: bool) {
+        self.cluster.set_down(self.now, server, down);
+    }
+
     fn oracle(&self) -> bool {
         self.cluster.detector.is_none()
     }
@@ -2062,13 +2064,7 @@ impl Process for Cluster {
         self.failed[server]
     }
 
-    fn set_down(&mut self, now: Nanos, server: usize, down: bool) {
-        self.failed[server] = down;
-        if let Some(d) = self.detector.as_mut().filter(|_| !down) {
-            d.reset_observer(server, now);
-        }
-    }
-
+    #[inline]
     fn prepare(&mut self, now: Nanos, server: usize, msg: Message) -> (f64, f64, PostAction) {
         let primary = self.directory.server_of(msg.to.0) == Some(server);
         let mut hosted = primary;
@@ -2145,6 +2141,7 @@ impl Process for Cluster {
         }
     }
 
+    #[inline]
     fn dispatch(&mut self, engine: &mut Engine<Cluster>, server: usize, post: PostAction) {
         match post {
             PostAction::RouteToWorker(msg) => {

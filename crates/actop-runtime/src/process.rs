@@ -35,13 +35,15 @@ pub(crate) trait Process: Accounting + Sized + 'static {
     /// Whether `server` is down (crashed, not yet recovered).
     fn is_down(&self, server: usize) -> bool;
 
-    /// Marks `server` down (a crash) or back up (a recovery) at `now`.
-    /// A recovered server runs the fresh process its crash installed;
-    /// the sequential backend also resets its failure-detector observer
-    /// row, so it trusts every peer for one grace period instead of
-    /// mass-suspecting the cluster at boot. On the sharded backend the
-    /// flags are shared: serial phase only.
-    fn set_down(&mut self, now: Nanos, server: usize, down: bool);
+    /// The first live server at or after `preferred` (wrapping), or
+    /// `None` when every server is down: callers shed or back off
+    /// instead of panicking on total cluster loss.
+    fn try_next_live(&self, preferred: usize) -> Option<usize> {
+        let n = self.config().servers;
+        (0..n)
+            .map(|i| (preferred + i) % n)
+            .find(|&s| !self.is_down(s))
+    }
 
     /// The runtime configuration.
     fn config(&self) -> &RuntimeConfig;
@@ -267,6 +269,13 @@ pub(crate) trait ProcessHost: AgentHost {
     /// that world's engine.
     fn world(&mut self, server: usize) -> (&mut Self::World, &mut Engine<Self::World>);
 
+    /// Marks `server` down (a crash) or back up (a recovery). A
+    /// recovered server runs the fresh process its crash installed; the
+    /// sequential backend also resets its failure-detector observer row,
+    /// so it trusts every peer for one grace period instead of
+    /// mass-suspecting the cluster at boot.
+    fn set_down(&mut self, server: usize, down: bool);
+
     /// Whether ground-truth liveness is the oracle (no failure
     /// detector): the whole cluster then learns of a crash at once.
     fn oracle(&self) -> bool;
@@ -297,8 +306,8 @@ pub(crate) fn crash(host: &mut impl ProcessHost, server: usize) {
         return;
     }
     let now = host.now();
+    host.set_down(server, true);
     let (w, _) = host.world(server);
-    w.set_down(now, server, true);
     w.metrics().server_failures += 1;
     w.instant(0, HopKind::ServerFail, server as u32, 0, now);
     let trace = w.tracer();

@@ -620,14 +620,6 @@ impl ShardedCluster {
         idx
     }
 
-    /// First live server at or after `preferred` (wrapping).
-    fn try_next_live(&self, preferred: usize) -> Option<usize> {
-        // SAFETY: as in `is_down`.
-        let failed = unsafe { self.ctx.failed.get() };
-        let n = self.ctx.topo.servers;
-        (0..n).map(|i| (preferred + i) % n).find(|&s| !failed[s])
-    }
-
     // ------------------------------------------------------------------
     // Message movement (the wire side; the SEDA pump is `process.rs`).
     // ------------------------------------------------------------------
@@ -1182,11 +1174,7 @@ impl ShardedCluster {
         let preferred = hint.unwrap_or_else(|| {
             (mix64(actor.0 ^ self.ctx.seed_mix) % self.ctx.topo.servers as u64) as usize
         });
-        let n = self.ctx.topo.servers;
-        let target = (0..n)
-            .map(|i| (preferred + i) % n)
-            .find(|&s| !failed[s])
-            .unwrap_or(preferred);
+        let target = self.try_next_live(preferred).unwrap_or(preferred);
         self.slots[idx].dir_overlay.insert(actor.0, target as u32);
         self.dir_ops.push(DirOp {
             actor: actor.0,
@@ -1339,14 +1327,8 @@ impl Process for ShardedCluster {
         failed[server]
     }
 
-    fn set_down(&mut self, _now: Nanos, server: usize, down: bool) {
-        // SAFETY: serial phase (crash and recovery run from global
-        // events); no window reader is live.
-        let failed = unsafe { self.ctx.failed.get_mut() };
-        failed[server] = down;
-    }
-
     /// Worker requests draw from the *server's* RNG stream.
+    #[inline]
     fn prepare(&mut self, now: Nanos, server: usize, msg: SMsg) -> (f64, f64, PostAction<SMsg>) {
         let costs = &self.ctx.config.costs;
         match msg.kind {
@@ -1444,6 +1426,7 @@ impl Process for ShardedCluster {
         }
     }
 
+    #[inline]
     fn dispatch(
         &mut self,
         engine: &mut Engine<ShardedCluster>,
@@ -1933,6 +1916,12 @@ impl ProcessHost for ShardedHost<'_, '_> {
         (&mut cell.world, &mut cell.engine)
     }
 
+    fn set_down(&mut self, server: usize, down: bool) {
+        // SAFETY: serial phase.
+        let failed = unsafe { self.shared.failed.get_mut() };
+        failed[server] = down;
+    }
+
     /// The sharded backend has no failure detector.
     fn oracle(&self) -> bool {
         true
@@ -2118,8 +2107,8 @@ pub fn fail_server_sharded(ctx: Ctx<'_, '_>, server: usize) {
 
 /// Brings a crashed server back as a fresh, empty process.
 pub fn recover_server_sharded(ctx: Ctx<'_, '_>, server: usize) {
-    let (now, shard) = (ctx.now, shared_of(ctx).topo.shard_of(server));
-    ctx.cell(shard).world.set_down(now, server, false);
+    let now = ctx.now;
+    ShardedHost::new(ctx, now).set_down(server, false);
 }
 
 #[cfg(test)]
