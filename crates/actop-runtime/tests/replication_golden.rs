@@ -6,7 +6,9 @@
 //! fingerprints catch any change to what replication does: every
 //! `ClusterMetrics` counter, the final replica sets, and every
 //! replication span (kind, server, request, aux, time) of a fully sampled
-//! trace. Re-record deliberately with
+//! trace, plus one digest of every message-lifecycle span (admission,
+//! wire, dispatch, forward, loss, retry, shed, stale response,
+//! completion). Re-record deliberately with
 //!
 //! ```text
 //! GOLDEN_PRINT=1 cargo test -p actop-runtime --test replication_golden -- --nocapture
@@ -96,8 +98,52 @@ fn fingerprint(
             .iter()
             .fold(h, |h, &v| mix64(h ^ v))
     });
+    out.push(lifecycle_line(spans));
     out.push(format!("spans digest={digest:016x}"));
     out.join("\n")
+}
+
+/// The message-lifecycle spans: admission, wire hops, dispatch, forwards,
+/// losses, retries, sheds, stale responses and completions.
+const LIFECYCLE_HOPS: [HopKind; 11] = [
+    HopKind::GatewayAdmit,
+    HopKind::Network,
+    HopKind::LocalDispatch,
+    HopKind::RemoteDispatch,
+    HopKind::Forward,
+    HopKind::MsgLost,
+    HopKind::Retry,
+    HopKind::FailoverRetry,
+    HopKind::Shed,
+    HopKind::StaleResponse,
+    HopKind::ClientDone,
+];
+
+/// One line for the message-lifecycle spans: their count and an
+/// order-sensitive digest of every field.
+fn lifecycle_line(spans: &[SpanEvent]) -> String {
+    let hops: Vec<&SpanEvent> = spans
+        .iter()
+        .filter(|s| LIFECYCLE_HOPS.contains(&s.kind))
+        .collect();
+    let digest = hops.iter().fold(0u64, |h, s| {
+        let h = s
+            .kind
+            .name()
+            .bytes()
+            .fold(h, |h, b| mix64(h ^ u64::from(b)));
+        [
+            u64::from(s.server),
+            u64::from(s.stage),
+            s.request,
+            s.aux,
+            s.t_start.as_nanos(),
+            s.t_end.as_nanos(),
+        ]
+        .iter()
+        .fold(h, |h, &v| mix64(h ^ v))
+    });
+    format!("lifecycle spans={} digest={digest:016x}", hops.len())
 }
 
 fn check(name: &str, got: &str, want: &str) {
@@ -293,7 +339,7 @@ fn golden_replication_sharded() {
     let (two, two_hops) = sharded_run(2, 2);
     let without_digest = |fp: &str| {
         fp.lines()
-            .filter(|l| !l.starts_with("spans digest"))
+            .filter(|l| !l.starts_with("spans digest") && !l.starts_with("lifecycle"))
             .collect::<Vec<_>>()
             .join("\n")
     };
@@ -349,6 +395,7 @@ spans split=10
 spans split-abort=0
 spans replica-drop=10
 spans replica-read=947
+lifecycle spans=17094 digest=90b7653ab3f56fa3
 spans digest=64307da411aad9b3";
 
 const SEQUENTIAL_DETECTOR: &str = r"submitted=3400
@@ -401,6 +448,7 @@ spans split=6
 spans split-abort=0
 spans replica-drop=4
 spans replica-read=1224
+lifecycle spans=17333 digest=de3b0037956ea0db
 spans digest=a4a0614069da1938";
 
 const SHARDED: &str = r"submitted=3400
@@ -453,4 +501,5 @@ spans split=8
 spans split-abort=0
 spans replica-drop=5
 spans replica-read=1128
+lifecycle spans=18400 digest=9a30ff1feff25f78
 spans digest=5b7ded95d2b0864b";

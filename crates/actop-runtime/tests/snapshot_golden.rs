@@ -6,7 +6,9 @@
 //! change to what the snapshot subsystem does: every `ClusterMetrics`
 //! counter, the durable store's totals and committed rounds, and every
 //! snapshot-hop span (kind, server, request, aux, time) of a fully
-//! sampled trace. Re-record deliberately with
+//! sampled trace, plus one digest of every message-lifecycle span
+//! (admission, wire, dispatch, forward, loss, retry, shed, stale
+//! response, completion). Re-record deliberately with
 //!
 //! ```text
 //! GOLDEN_PRINT=1 cargo test -p actop-runtime --test snapshot_golden -- --nocapture
@@ -65,8 +67,52 @@ fn fingerprint(m: &ClusterMetrics, store: &SnapshotStore, spans: &[SpanEvent]) -
             .iter()
             .fold(h, |h, &v| mix64(h ^ v))
     });
+    out.push(lifecycle_line(spans));
     out.push(format!("spans digest={digest:016x}"));
     out.join("\n")
+}
+
+/// The message-lifecycle spans: admission, wire hops, dispatch, forwards,
+/// losses, retries, sheds, stale responses and completions.
+const LIFECYCLE_HOPS: [HopKind; 11] = [
+    HopKind::GatewayAdmit,
+    HopKind::Network,
+    HopKind::LocalDispatch,
+    HopKind::RemoteDispatch,
+    HopKind::Forward,
+    HopKind::MsgLost,
+    HopKind::Retry,
+    HopKind::FailoverRetry,
+    HopKind::Shed,
+    HopKind::StaleResponse,
+    HopKind::ClientDone,
+];
+
+/// One line for the message-lifecycle spans: their count and an
+/// order-sensitive digest of every field.
+fn lifecycle_line(spans: &[SpanEvent]) -> String {
+    let hops: Vec<&SpanEvent> = spans
+        .iter()
+        .filter(|s| LIFECYCLE_HOPS.contains(&s.kind))
+        .collect();
+    let digest = hops.iter().fold(0u64, |h, s| {
+        let h = s
+            .kind
+            .name()
+            .bytes()
+            .fold(h, |h, b| mix64(h ^ u64::from(b)));
+        [
+            u64::from(s.server),
+            u64::from(s.stage),
+            s.request,
+            s.aux,
+            s.t_start.as_nanos(),
+            s.t_end.as_nanos(),
+        ]
+        .iter()
+        .fold(h, |h, &v| mix64(h ^ v))
+    });
+    format!("lifecycle spans={} digest={digest:016x}", hops.len())
 }
 
 fn check(name: &str, got: &str, want: &str) {
@@ -230,7 +276,7 @@ fn golden_snapshots_sharded() {
     let (two, two_hops) = sharded_run(2, 2);
     let counters_and_store = |fp: &str| {
         fp.lines()
-            .filter(|l| !l.starts_with("spans digest"))
+            .filter(|l| !l.starts_with("spans digest") && !l.starts_with("lifecycle"))
             .collect::<Vec<_>>()
             .join("\n")
     };
@@ -379,6 +425,7 @@ fn golden_restart_sharded() {
     let counters_and_store = |fp: &str| {
         fp.lines()
             .filter(|l| !l.starts_with("spans digest") && !l.starts_with("process spans"))
+            .filter(|l| !l.starts_with("lifecycle"))
             .filter(|l| !l.starts_with("events="))
             .collect::<Vec<_>>()
             .join("\n")
@@ -439,6 +486,7 @@ spans snap-complete=11
 spans snap-abort=1
 spans state-write=397
 spans restore=1
+lifecycle spans=4634 digest=53595ed8d952d782
 spans digest=964f7cf4d8e6e697
 events=10324
 process spans=13948 digest=c5ce83bfc9ae99b9";
@@ -495,6 +543,7 @@ spans snap-complete=10
 spans snap-abort=1
 spans state-write=392
 spans restore=1
+lifecycle spans=5142 digest=d867ebabcf9d434e
 spans digest=dfbc8791f67f9328
 events=10914
 process spans=15940 digest=dc1a56b8a769d589";
@@ -551,6 +600,7 @@ spans snap-complete=11
 spans snap-abort=2
 spans state-write=900
 spans restore=33
+lifecycle spans=6466 digest=bf8f5a019bc21a5b
 spans digest=7e42a694a46d1d28";
 
 const SHARDED: &str = r"submitted=500
@@ -605,4 +655,5 @@ spans snap-complete=9
 spans snap-abort=1
 spans state-write=493
 spans restore=4
+lifecycle spans=5803 digest=c398d8b4a6e0a3cd
 spans digest=941ea1acb0c26501";
