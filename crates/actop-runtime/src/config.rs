@@ -84,6 +84,25 @@ pub struct RetryPolicy {
     pub max_attempts: u8,
 }
 
+impl RetryPolicy {
+    /// The delay before delivery attempt `attempts` (1-based): the base
+    /// backoff doubled per earlier attempt (the shift capped at 20),
+    /// clamped to `max_backoff`, plus a `jitter × unit` share of it.
+    /// `unit` is the backend's jitter draw in `[0, 1)`; with zero jitter
+    /// it is ignored, so a backend draws it only when `jitter > 0`.
+    pub fn backoff(&self, attempts: u8, unit: f64) -> Nanos {
+        let shift = u32::from(attempts - 1).min(20);
+        let backoff = Nanos::from_nanos(self.base_backoff.as_nanos().saturating_mul(1u64 << shift))
+            .min(self.max_backoff);
+        let jitter = if self.jitter > 0.0 {
+            Nanos::from_nanos_f64(backoff.as_nanos() as f64 * (self.jitter * unit))
+        } else {
+            Nanos::ZERO
+        };
+        backoff + jitter
+    }
+}
+
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
@@ -326,6 +345,109 @@ impl RuntimeConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use actop_sim::{mix64, DetRng};
+
+    /// A verbatim copy of the sequential backend's inline backoff, which
+    /// `RetryPolicy::backoff` replaced (jitter drawn from the fault
+    /// stream).
+    fn sequential_inline(policy: RetryPolicy, attempts: u8, rng: &mut DetRng) -> Nanos {
+        let shift = u32::from(attempts - 1).min(20);
+        let backoff =
+            Nanos::from_nanos(policy.base_backoff.as_nanos().saturating_mul(1u64 << shift))
+                .min(policy.max_backoff);
+        let jitter = if policy.jitter > 0.0 {
+            Nanos::from_nanos_f64(backoff.as_nanos() as f64 * rng.uniform(0.0, policy.jitter))
+        } else {
+            Nanos::ZERO
+        };
+        backoff + jitter
+    }
+
+    /// A verbatim copy of the sharded backend's inline backoff (jitter
+    /// from a hash unit).
+    fn sharded_inline(policy: RetryPolicy, attempts: u8, unit: f64) -> Nanos {
+        let shift = u32::from(attempts - 1).min(20);
+        let backoff =
+            Nanos::from_nanos(policy.base_backoff.as_nanos().saturating_mul(1u64 << shift))
+                .min(policy.max_backoff);
+        let jitter = if policy.jitter > 0.0 {
+            Nanos::from_nanos_f64(backoff.as_nanos() as f64 * unit * policy.jitter)
+        } else {
+            Nanos::ZERO
+        };
+        backoff + jitter
+    }
+
+    /// The one formula equals both inline ones: every attempt of the
+    /// budget, past the shift cap (attempts beyond 21 on a tiny base),
+    /// into the clamp, a saturating multiply, and zero jitter. The
+    /// sharded form multiplies `backoff × unit` first, so it agrees
+    /// exactly for power-of-two jitter fractions (the default 0.5 among
+    /// them); the sequential form agrees for every fraction.
+    #[test]
+    fn backoff_matches_both_inline_formulas() {
+        let default = RetryPolicy::default();
+        let policies = [
+            default,
+            RetryPolicy {
+                jitter: 0.0,
+                ..default
+            },
+            RetryPolicy {
+                jitter: 0.25,
+                max_backoff: Nanos::from_millis(3),
+                ..default
+            },
+            RetryPolicy {
+                base_backoff: Nanos::from_nanos(1),
+                max_backoff: Nanos::from_secs(3_600),
+                jitter: 1.0,
+                max_attempts: 30,
+            },
+            RetryPolicy {
+                base_backoff: Nanos::from_nanos(u64::MAX / 2),
+                max_backoff: Nanos::from_nanos(u64::MAX / 2),
+                jitter: 0.0,
+                max_attempts: 3,
+            },
+        ];
+        for (i, policy) in policies.into_iter().enumerate() {
+            for attempts in 1..=policy.max_attempts {
+                let stream = (i as u64) << 8 | u64::from(attempts);
+                let mut old = DetRng::stream(7, stream);
+                let mut new = DetRng::stream(7, stream);
+                let unit = if policy.jitter > 0.0 { new.unit() } else { 0.0 };
+                let want = sequential_inline(policy, attempts, &mut old);
+                assert_eq!(
+                    policy.backoff(attempts, unit),
+                    want,
+                    "{policy:?} #{attempts}"
+                );
+                let h = mix64(stream);
+                let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
+                let want = sharded_inline(policy, attempts, unit);
+                assert_eq!(
+                    policy.backoff(attempts, unit),
+                    want,
+                    "{policy:?} #{attempts}"
+                );
+            }
+        }
+        // Past the cap the doubling stops: 2^20 ns plus at most as much
+        // jitter.
+        let capped = policies[3].backoff(30, 0.0);
+        assert_eq!(capped, Nanos::from_nanos(1 << 20));
+        // Any fraction draws the sequential jitter identically.
+        for jitter in [0.1, 0.3, 0.77] {
+            let policy = RetryPolicy { jitter, ..default };
+            for attempts in 1..=policy.max_attempts {
+                let mut old = DetRng::stream(9, u64::from(attempts));
+                let mut new = DetRng::stream(9, u64::from(attempts));
+                let want = sequential_inline(policy, attempts, &mut old);
+                assert_eq!(policy.backoff(attempts, new.unit()), want);
+            }
+        }
+    }
 
     #[test]
     fn paper_testbed_shape() {

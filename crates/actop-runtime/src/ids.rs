@@ -23,13 +23,6 @@ impl fmt::Display for ActorId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RequestId(pub u64);
 
-/// A pending fan-out join awaiting sub-call replies.
-///
-/// Like [`RequestId`], an opaque generation-tagged slab handle into the
-/// cluster's join table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct CallId(pub u64);
-
 /// The four SEDA stages of a server (§2, Fig. 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StageKind {

@@ -32,7 +32,8 @@
 //! as periodic events against one trait, [`AgentHost`], which both
 //! backends implement: [`ClusterHost`] on the sequential [`Cluster`] and
 //! [`ShardedHost`] on the sharded one. Both keep each server's state in
-//! the same generic [`server::Server`].
+//! the same [`server::Server`] and run one message protocol and one
+//! message lifecycle around it.
 
 pub mod agent;
 pub mod app;
@@ -40,6 +41,7 @@ pub mod cluster;
 pub mod config;
 pub mod detector;
 pub mod ids;
+mod lifecycle;
 pub mod metrics;
 pub mod obs;
 pub mod placement;

@@ -1,9 +1,13 @@
 //! The server process, written once for both backends: the SEDA pump
 //! (enqueue, start, CPU completion, task completion), thread
-//! reconfiguration, and a server's crash. A backend supplies only its
-//! hooks ([`Process`], [`ProcessHost`]): where a worker item executes and
-//! what it costs (`prepare`), what a finished task does next
-//! (`dispatch`), and what survives a restart (DESIGN.md §3, §9).
+//! reconfiguration, and a server's crash. The message lifecycle around
+//! the pump (what a finished task does next) is `crate::lifecycle`. A
+//! backend supplies only its hooks ([`Process`], [`ProcessHost`]): where
+//! a worker item executes and what it costs (`prepare`), how it routes a
+//! request, a forwarded response and a join's reply, where its joins
+//! live, how it puts a message on the wire, retries a lost one, answers
+//! a client and defers a snapshot restore, and what survives a restart
+//! (DESIGN.md §3, §9, §12).
 
 use actop_partition::DenseDirectory;
 use actop_sim::{start_next, Engine, Nanos, StagePool, Subsystem};
@@ -12,25 +16,21 @@ use actop_trace::{HopKind, SpanEvent, Tracer, PROC_LABEL, QUEUE_LABEL};
 use crate::agent::AgentHost;
 use crate::config::RuntimeConfig;
 use crate::ids::ActorId;
+use crate::lifecycle::dispatch;
 use crate::metrics::Accounting;
-use crate::proto::{Msg, PostAction, RunningTask, StageItem};
+use crate::proto::{Message, PendingJoin, PostAction, RunningTask, StageItem};
 use crate::replication::crash_drops;
 use crate::server::Server;
 use crate::snapshot::note_abort;
-
-/// A running task of backend `W`.
-pub(crate) type Task<W> = RunningTask<PostAction<<W as Process>::Msg>>;
+use crate::table::SlabTable;
 
 /// A backend world as its server processes see it: the sequential
 /// `Cluster`, or one shard of the sharded backend (which owns the
 /// servers it is asked about). The required methods are the backend's
 /// hooks; the provided ones are the pipeline.
 pub(crate) trait Process: Accounting + Sized + 'static {
-    /// The backend's message type.
-    type Msg: Msg;
-
     /// Server `id`.
-    fn server(&mut self, id: usize) -> &mut Server<StageItem<Self::Msg>, Task<Self>>;
+    fn server(&mut self, id: usize) -> &mut Server;
 
     /// Whether `server` is down (crashed, not yet recovered).
     fn is_down(&self, server: usize) -> bool;
@@ -53,15 +53,7 @@ pub(crate) trait Process: Accounting + Sized + 'static {
     /// admission), the snapshot touch, and the application handler (its
     /// decision is captured now and applied when the compute phase
     /// ends). Never enqueues.
-    fn prepare(
-        &mut self,
-        now: Nanos,
-        server: usize,
-        msg: Self::Msg,
-    ) -> (f64, f64, PostAction<Self::Msg>);
-
-    /// Applies a finished task's completion action.
-    fn dispatch(&mut self, engine: &mut Engine<Self>, server: usize, post: PostAction<Self::Msg>);
+    fn prepare(&mut self, now: Nanos, server: usize, msg: Message) -> (f64, f64, PostAction);
 
     /// The world's tracer (for flight dumps).
     fn tracer(&mut self) -> &mut Tracer;
@@ -76,14 +68,84 @@ pub(crate) trait Process: Accounting + Sized + 'static {
     #[inline]
     fn charge(&mut self, _request: u64, _component: &'static str, _ns: f64) {}
 
-    /// Pushes an item into a stage queue and pumps the server.
-    fn enqueue(
+    /// The server a request from `server` to `actor` goes to: read
+    /// routing across replicas, else [`Process::resolve`].
+    fn route_request(
+        &mut self,
+        now: Nanos,
+        server: usize,
+        actor: ActorId,
+        tag: u32,
+        request: u64,
+    ) -> usize;
+
+    /// The server hosting `actor` as `server` sees it, activating the
+    /// actor if it has no host.
+    fn resolve(&mut self, now: Nanos, server: usize, actor: ActorId) -> usize;
+
+    /// The join table a fan-out issued at `server` goes into.
+    fn joins(&mut self, server: usize) -> &mut SlabTable<PendingJoin>;
+
+    /// Where the reply of `server`'s actor to the join `(owner, handle)`
+    /// of `actor` goes, or `None` when the join is gone (the reply is
+    /// stale).
+    fn join_reply_dst(
+        &mut self,
+        now: Nanos,
+        server: usize,
+        owner: u32,
+        handle: u64,
+        actor: ActorId,
+    ) -> Option<usize>;
+
+    /// Whether root `request` is still open. A branch of a resolved
+    /// request (timed out, shed) is a zombie and dies. Only the
+    /// sequential backend keeps a request table.
+    #[inline]
+    fn request_open(&mut self, _request: u64) -> bool {
+        true
+    }
+
+    /// Forgets root `request`, shed at admission. Only the sequential
+    /// backend keeps a request table.
+    #[inline]
+    fn forget_request(&mut self, _request: u64) {}
+
+    /// Offers one actor-to-actor message to the endpoint servers' edge
+    /// sketches.
+    fn offer_edges(&mut self, src: usize, dst: usize, from: ActorId, to: ActorId);
+
+    /// Puts a serialized message from `src` on the wire to `dst`.
+    fn net_send(&mut self, engine: &mut Engine<Self>, src: usize, dst: usize, msg: Message);
+
+    /// Retries a request whose delivery to `dead` failed (crash or drop)
+    /// after a backoff ([`crate::RetryPolicy::backoff`]), within the
+    /// message's attempt budget.
+    fn schedule_retry(&mut self, engine: &mut Engine<Self>, msg: Message, dead: usize);
+
+    /// Sends root `request`'s serialized response from `server` to the
+    /// client, which completes the request on arrival.
+    fn client_reply(
         &mut self,
         engine: &mut Engine<Self>,
         server: usize,
-        stage: usize,
-        item: StageItem<Self::Msg>,
-    ) {
+        request: u64,
+        root_start: Nanos,
+        bytes: u64,
+    );
+
+    /// Re-runs an execute at `server` whose restore found the store
+    /// server down, after `backoff`.
+    fn snapshot_defer(
+        &mut self,
+        engine: &mut Engine<Self>,
+        server: usize,
+        msg: Message,
+        backoff: Nanos,
+    );
+
+    /// Pushes an item into a stage queue and pumps the server.
+    fn enqueue(&mut self, engine: &mut Engine<Self>, server: usize, stage: usize, item: StageItem) {
         let now = engine.now();
         self.server(server).stages[stage].push(now, item);
         self.pump(engine, server);
@@ -119,12 +181,12 @@ pub(crate) trait Process: Accounting + Sized + 'static {
             let (cpu_ns, wait_ns, post) = match item {
                 StageItem::Execute(msg) => self.prepare(now, server, msg),
                 StageItem::Deserialize(msg) => (
-                    costs.deserialize_ns(msg.bytes()),
+                    costs.deserialize_ns(msg.bytes),
                     0.0,
                     PostAction::RouteToWorker(msg),
                 ),
                 StageItem::SerializeRemote { dst, msg } => (
-                    costs.serialize_ns(msg.bytes()),
+                    costs.serialize_ns(msg.bytes),
                     0.0,
                     PostAction::NetSend { dst, msg },
                 ),
@@ -233,7 +295,7 @@ fn cpu_done<W: Process>(w: &mut W, engine: &mut Engine<W>, server: usize) {
 /// earlier incarnation of the server's process (its blocking wait
 /// outlived a crash, and maybe the recovery after it) died with that
 /// process.
-fn task_finished<W: Process>(w: &mut W, engine: &mut Engine<W>, server: usize, task: Task<W>) {
+fn task_finished<W: Process>(w: &mut W, engine: &mut Engine<W>, server: usize, task: RunningTask) {
     let s = w.server(server);
     if task.incarnation != s.incarnation {
         return;
@@ -255,7 +317,7 @@ fn task_finished<W: Process>(w: &mut W, engine: &mut Engine<W>, server: usize, t
         t_start: task.started,
         t_end: now,
     });
-    w.dispatch(engine, server, task.post);
+    dispatch(w, engine, server, task.post);
     w.pump(engine, server);
 }
 

@@ -1,4 +1,7 @@
 //! Per-server state: the SEDA pipeline, the shared CPU, and local caches.
+//! One [`Server`] type serves both backends: its stage queues hold
+//! `StageItem`s and its CPU runs `RunningTask`s of the one message
+//! protocol (`crate::proto`).
 
 use actop_partition::DenseDirectory;
 use actop_sim::{Engine, EventId, Nanos, PsCpu, StagePool, TickFn};
@@ -37,21 +40,19 @@ pub struct StageReport {
     pub mean_queue_len: f64,
 }
 
-/// One simulated Orleans server, generic over what its stage queues hold
-/// (`I`) and what its CPU runs (`T`): the sequential cluster uses the
-/// defaults, the sharded backend its own message protocol.
-pub struct Server<I = StageItem, T = RunningTask> {
+/// One simulated Orleans server.
+pub struct Server {
     /// Server index.
     pub id: usize,
     /// The shared-core processor all stage threads run on; each task
     /// carries its stage bookkeeping until its compute phase completes.
-    pub(crate) cpu: PsCpu<T>,
+    pub(crate) cpu: PsCpu<RunningTask>,
     /// The four SEDA stages, indexed by [`StageKind::index`].
-    pub(crate) stages: [StagePool<I>; 4],
+    pub(crate) stages: [StagePool<StageItem>; 4],
     /// The pending CPU-completion event, if any.
     pub(crate) cpu_event: Option<(Nanos, EventId)>,
     /// Reused buffer for the tasks one CPU-completion event collects.
-    pub(crate) done: Vec<T>,
+    pub(crate) done: Vec<RunningTask>,
     /// The server's heavy-edge sample: `(local actor, peer actor) -> msgs`.
     pub edge_sketch: SpaceSaving<(ActorId, ActorId)>,
     /// Location hints left behind by migrations (§4.3). Fx-hashed:
@@ -76,7 +77,7 @@ pub struct Server<I = StageItem, T = RunningTask> {
 /// overhead", §4.3).
 const LOCATION_CACHE_CAP: usize = 65_536;
 
-impl<I, T> Server<I, T> {
+impl Server {
     /// A freshly booted server process: every stage at the configured
     /// initial thread count, empty queues, sketches and caches.
     pub fn new(id: usize, config: &RuntimeConfig) -> Self {
@@ -255,7 +256,7 @@ mod tests {
     fn new_server_shape() {
         let mut config = RuntimeConfig::single_server(0);
         config.initial_threads_per_stage = 8;
-        let s: Server = Server::new(3, &config);
+        let s = Server::new(3, &config);
         assert_eq!(s.id, 3);
         assert_eq!(s.thread_allocation(), [8, 8, 8, 8]);
         assert_eq!(s.queue_lengths(), [0, 0, 0, 0]);
@@ -264,7 +265,7 @@ mod tests {
 
     #[test]
     fn location_cache_hint_roundtrip() {
-        let mut s: Server = Server::new(0, &RuntimeConfig::single_server(0));
+        let mut s = Server::new(0, &RuntimeConfig::single_server(0));
         s.cache_location(ActorId(7), 4);
         assert_eq!(s.take_location_hint(&ActorId(7)), Some(4));
         assert_eq!(s.take_location_hint(&ActorId(7)), None, "hint consumed");

@@ -15,7 +15,9 @@
 # Exit status 1 when a patch no longer applies or no longer builds, or
 # when a mutant marked `caught` passes its test. A mutant marked `open`
 # is reported either way and never fails the run: nothing catches it
-# yet (see tests/mutants/README.md).
+# yet (see tests/mutants/README.md). Before any build, the detection
+# table in that README is checked against the committed patches: a
+# patch without a row, or a row naming no patch, also exits 1.
 #
 # Usage: scripts/mutants.sh [patch ...]   (default: every committed patch)
 set -uo pipefail
@@ -33,6 +35,18 @@ else
 fi
 
 failed=0
+# The detection table's rows start with the mutant's name in backticks.
+rows=$(sed -n 's/^| `\([^`]*\)` |.*/\1/p' "$root/tests/mutants/README.md" | sort)
+committed=$(for p in "$root"/tests/mutants/*.patch; do basename "$p" .patch; done | sort)
+for name in $(comm -23 <(echo "$committed") <(echo "$rows")); do
+    echo "$name: NO ROW in the detection table (tests/mutants/README.md)"
+    failed=1
+done
+for name in $(comm -13 <(echo "$committed") <(echo "$rows")); do
+    echo "$name: the detection table names a patch that does not exist"
+    failed=1
+done
+
 for patch in "${patches[@]}"; do
     patch=$(cd "$(dirname "$patch")" && pwd)/$(basename "$patch")
     name=$(basename "$patch" .patch)
