@@ -1,14 +1,16 @@
 //! A vendored FxHash-style hasher and map/set aliases for the hot paths.
 //!
 //! The runtime's per-message path performs several map lookups (actor
-//! directory, call tables, sketch index, location hints). `std`'s default
+//! directory, call tables, location hints). `std`'s default
 //! SipHash-1-3 is keyed and DoS-resistant but costs tens of cycles per
 //! lookup; none of these maps face attacker-controlled keys, so every
 //! *non-semantic* map — one whose hasher can change without changing any
 //! observable output — uses this 64-bit multiply-mix hasher instead
 //! (the same construction as rustc's `FxHasher`, vendored here because
 //! the build environment is fully offline, matching the `vendor/`
-//! precedent).
+//! precedent). The Space-Saving sketch's index is not one of these maps:
+//! it is its own compact table (`slot_index`), which hashes with this
+//! hasher and keeps the high half of the hash as an 8-byte bucket's tag.
 //!
 //! A map is non-semantic when its iteration order is never observed:
 //! either it is only read through point lookups, or every iteration is

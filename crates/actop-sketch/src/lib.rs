@@ -9,6 +9,7 @@
 //! messages.
 
 pub mod fxmap;
+mod slot_index;
 pub mod space_saving;
 
 pub use fxmap::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
