@@ -7,8 +7,7 @@
 //! | `engine_*` | event engine (heap) |
 //! | `routing_*` | routing/directory and the communication sketch |
 //! | `pscpu_*` | CPU/SEDA model (processor-sharing CPU) |
-//! | `space_saving_*` | communication sketch |
-//! | `space_saving_retain_actor_16k` | communication sketch (migration drop) |
+//! | `space_saving_*` | communication sketch (offers, `retain`, `scale`; `_fxmap`: the `FxHashMap`-indexed copy) |
 //! | `partition_view_4k_entries_*` | partition policy (view build) |
 //! | `candidate_set_2k_vertices_*` | partition policy (candidate scoring) |
 //! | `histogram_*` | metrics (latency histogram) |
@@ -511,37 +510,349 @@ fn bench_cpu_steady(c: &mut Criterion) {
     }
 }
 
-/// Layer: communication sketch (Space-Saving offers).
+/// A verbatim copy of the Space-Saving sketch as it was before its
+/// compact slot index, indexed by an `FxHashMap<T, usize>` (the methods
+/// the benches call), for honest old-vs-new `space_saving_*` numbers
+/// (same role as [`legacy_sketch`] for the `BTreeSet` one).
+mod fxmap_sketch {
+    use std::hash::Hash;
+
+    use actop_sketch::{FxHashMap, SketchEntry};
+
+    #[derive(Debug, Clone)]
+    pub struct SpaceSaving<T> {
+        capacity: usize,
+        slots: Vec<SketchEntry<T>>,
+        index: FxHashMap<T, usize>,
+        /// Lower bound on the minimum counter; exact whenever `min_queue`
+        /// holds a slot whose counter still equals it.
+        min_count: u64,
+        /// Slot indices that had `count == min_count` at the last rescan, in
+        /// ascending slot order. Consumed front-to-back via `min_cursor`;
+        /// stale entries (counter since grown) are skipped at pop time.
+        min_queue: Vec<usize>,
+        /// Read position in `min_queue`.
+        min_cursor: usize,
+        /// Number of live slots (`count > 0`); `slots.len() - live` are dead.
+        live: usize,
+        total_weight: u64,
+    }
+
+    impl<T: Eq + Hash + Clone> SpaceSaving<T> {
+        /// Creates a sketch monitoring at most `capacity` items.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `capacity == 0`.
+        pub fn new(capacity: usize) -> Self {
+            assert!(capacity > 0, "sketch capacity must be positive");
+            SpaceSaving {
+                capacity,
+                slots: Vec::with_capacity(capacity.min(4096)),
+                index: FxHashMap::default(),
+                min_count: 0,
+                min_queue: Vec::new(),
+                min_cursor: 0,
+                live: 0,
+                total_weight: 0,
+            }
+        }
+
+        /// Number of currently monitored items.
+        pub fn len(&self) -> usize {
+            self.live
+        }
+
+        /// Invalidates the cached minimum; the next eviction rescans.
+        #[inline]
+        fn invalidate_min(&mut self) {
+            self.min_count = 0;
+            self.min_queue.clear();
+            self.min_cursor = 0;
+        }
+
+        /// The slot holding the minimum counter, breaking ties toward the
+        /// smallest slot index (the same order the old `BTreeSet<(count,
+        /// slot)>` structure produced). Amortized O(1); O(capacity) when the
+        /// candidate queue must be rebuilt.
+        fn take_min_slot(&mut self) -> (u64, usize) {
+            loop {
+                while self.min_cursor < self.min_queue.len() {
+                    let slot = self.min_queue[self.min_cursor];
+                    self.min_cursor += 1;
+                    // Counters only grow between rescans, so a candidate is
+                    // either still exactly at the cached minimum or stale.
+                    if self.slots[slot].count == self.min_count {
+                        return (self.min_count, slot);
+                    }
+                }
+                // Queue exhausted: the true minimum rose. Rescan, collecting
+                // every slot at the new minimum in ascending slot order.
+                let min = self
+                    .slots
+                    .iter()
+                    .map(|e| e.count)
+                    .filter(|&c| c != 0)
+                    .min()
+                    .expect("take_min_slot on empty sketch");
+                self.min_count = min;
+                self.min_queue.clear();
+                self.min_cursor = 0;
+                for (slot, entry) in self.slots.iter().enumerate() {
+                    if entry.count == min {
+                        self.min_queue.push(slot);
+                    }
+                }
+            }
+        }
+
+        /// Offers `weight` units of the item to the stream.
+        #[inline]
+        pub fn offer(&mut self, item: T, weight: u64) {
+            if weight == 0 {
+                return;
+            }
+            self.total_weight += weight;
+            if let Some(&slot) = self.index.get(&item) {
+                // Monitored hit: pure increment. Min-tracking is lazy — if
+                // this slot sits in the candidate queue it becomes stale and
+                // is skipped at the next eviction.
+                self.slots[slot].count += weight;
+                return;
+            }
+            self.offer_slow(item, weight);
+        }
+
+        /// The unmonitored-item path: fill a free slot or evict the minimum.
+        fn offer_slow(&mut self, item: T, weight: u64) {
+            if self.live < self.capacity {
+                if self.slots.len() == self.capacity {
+                    self.compact();
+                }
+                // A fresh slot may undercut the cached minimum; drop the
+                // cache rather than splice the new slot into the queue.
+                self.invalidate_min();
+                self.live += 1;
+                let slot = self.slots.len();
+                self.slots.push(SketchEntry {
+                    item: item.clone(),
+                    count: weight,
+                    error: 0,
+                });
+                self.index.insert(item, slot);
+                return;
+            }
+            // Evict the minimum-count item; the newcomer inherits its count as
+            // overestimation error. Every slot is live here (`live ==
+            // capacity >= slots.len()`).
+            let (min_count, slot) = self.take_min_slot();
+            let evicted = std::mem::replace(
+                &mut self.slots[slot],
+                SketchEntry {
+                    item: item.clone(),
+                    count: min_count + weight,
+                    error: min_count,
+                },
+            );
+            self.index.remove(&evicted.item);
+            self.index.insert(item, slot);
+        }
+
+        /// Multiplies every counter (and error) by `factor` in `[0, 1]`,
+        /// dropping entries that reach zero. Periodic scaling makes the sketch
+        /// track the recent stream — essential for rapidly changing
+        /// communication graphs.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `factor` is not in `[0, 1]`.
+        pub fn scale(&mut self, factor: f64) {
+            assert!(
+                (0.0..=1.0).contains(&factor),
+                "scale factor must be in [0,1], got {factor}"
+            );
+            self.invalidate_min();
+            self.total_weight = (self.total_weight as f64 * factor) as u64;
+            // One order-preserving pass scales the live slots in place and
+            // drops the zeroed and the dead ones, keeping the vector's
+            // allocation. Aging zeroes many slots, so one index rebuild over
+            // the survivors beats a removal per dropped key.
+            self.slots.retain_mut(|entry| {
+                if entry.count == 0 {
+                    return false; // Dead.
+                }
+                entry.count = (entry.count as f64 * factor) as u64;
+                entry.error = (entry.error as f64 * factor) as u64;
+                entry.count != 0
+            });
+            self.live = self.slots.len();
+            self.index.clear();
+            for (slot, entry) in self.slots.iter().enumerate() {
+                self.index.insert(entry.item.clone(), slot);
+            }
+        }
+
+        /// Keeps only the entries whose item satisfies the predicate (e.g.
+        /// drop every edge of an actor that migrated away). Dropped slots die
+        /// in place and only their keys leave the index: one predicate call
+        /// per slot plus O(dropped) hashing. Compacts once dead slots outnumber
+        /// a quarter of the live ones.
+        pub fn retain(&mut self, mut pred: impl FnMut(&T) -> bool) {
+            let mut dropped = 0;
+            for entry in &mut self.slots {
+                if entry.count != 0 && !pred(&entry.item) {
+                    entry.count = 0;
+                    self.index.remove(&entry.item);
+                    dropped += 1;
+                }
+            }
+            self.live -= dropped;
+            // Compacting at a quarter keeps the next scans short: every
+            // `retain` reads every slot, dead ones included.
+            if 4 * (self.slots.len() - self.live) > self.live {
+                self.compact();
+            }
+        }
+
+        /// Moves the live entry at slot `from` to slot `to` (swapping whatever
+        /// was there to `from`) and repoints its index entry. No-op when the
+        /// two coincide.
+        #[inline]
+        fn move_slot(&mut self, from: usize, to: usize) {
+            if from != to {
+                self.slots.swap(from, to);
+                *self
+                    .index
+                    .get_mut(&self.slots[to].item)
+                    .expect("live slot is indexed") = to;
+            }
+        }
+
+        /// Drops every dead slot, keeping the live ones in order. Only slots
+        /// that move have their index entry rewritten.
+        fn compact(&mut self) {
+            let mut write = 0;
+            for read in 0..self.slots.len() {
+                if self.slots[read].count != 0 {
+                    self.move_slot(read, write);
+                    write += 1;
+                }
+            }
+            self.slots.truncate(write);
+            // Queued min candidates pointed at pre-compaction slots.
+            self.invalidate_min();
+        }
+    }
+}
+
+/// The sketch operations the `space_saving_*` bodies drive, so that each
+/// body runs on today's sketch and on [`fxmap_sketch`]'s copy (suffix
+/// `_fxmap`).
+trait Sketch<T>: Sized {
+    fn new(capacity: usize) -> Self;
+    fn offer(&mut self, item: T, weight: u64);
+    fn retain(&mut self, pred: impl FnMut(&T) -> bool);
+    fn scale(&mut self, factor: f64);
+    fn len(&self) -> usize;
+}
+
+macro_rules! impl_sketch {
+    ($sketch:ident) => {
+        impl<T: Eq + std::hash::Hash + Clone> Sketch<T> for $sketch<T> {
+            fn new(capacity: usize) -> Self {
+                $sketch::new(capacity)
+            }
+            fn offer(&mut self, item: T, weight: u64) {
+                $sketch::offer(self, item, weight)
+            }
+            fn retain(&mut self, pred: impl FnMut(&T) -> bool) {
+                $sketch::retain(self, pred)
+            }
+            fn scale(&mut self, factor: f64) {
+                $sketch::scale(self, factor)
+            }
+            fn len(&self) -> usize {
+                $sketch::len(self)
+            }
+        }
+    };
+}
+
+use fxmap_sketch::SpaceSaving as FxMapSketch;
+impl_sketch!(SpaceSaving);
+impl_sketch!(FxMapSketch);
+
+const ACTORS: u64 = 525;
+const EDGES: u64 = 8;
+
+/// `ACTORS × EDGES` edges `(local, peer)`, the halo-actop edge-sketch
+/// shape (~4.2K live entries of a 16,384-slot sketch), and a sketch
+/// holding them, each at weight `1 + peer % 7`.
+fn halo_edges<S: Sketch<(u64, u64)>>() -> (Vec<(u64, u64)>, S) {
+    let mut rng = DetRng::new(8);
+    let edges: Vec<(u64, u64)> = (0..ACTORS * EDGES)
+        .map(|i| (i / EDGES, rng.below(100_000) as u64))
+        .collect();
+    let mut sketch = S::new(16_384);
+    for &edge in &edges {
+        sketch.offer(edge, 1 + edge.1 % 7);
+    }
+    (edges, sketch)
+}
+
+/// Layer: communication sketch (Space-Saving offers, `retain`, `scale`),
+/// each body on today's sketch and, suffixed `_fxmap`, on the copy with
+/// the `FxHashMap` index.
 fn bench_sketch(c: &mut Criterion) {
-    c.bench_function("space_saving_offer_10k", |b| {
+    bench_sketch_on::<SpaceSaving<u64>, SpaceSaving<(u64, u64)>>(c, "");
+    bench_sketch_on::<FxMapSketch<u64>, FxMapSketch<(u64, u64)>>(c, "_fxmap");
+}
+
+fn bench_sketch_on<S: Sketch<u64>, P: Sketch<(u64, u64)>>(c: &mut Criterion, suffix: &str) {
+    // 10K offers of 4,096 items into 1,024 slots: hits and evictions.
+    c.bench_function(&format!("space_saving_offer_10k{suffix}"), |b| {
         let mut rng = DetRng::new(5);
         let stream: Vec<(u64, u64)> = (0..10_000).map(|_| (rng.below(4096) as u64, 1)).collect();
         b.iter(|| {
-            let mut sketch: SpaceSaving<u64> = SpaceSaving::new(1024);
+            let mut sketch = S::new(1024);
             for &(item, w) in &stream {
                 sketch.offer(item, w);
             }
             black_box(sketch.len())
         })
     });
-}
 
-/// Layer: communication sketch, the migration path. A server's edge
-/// sketch at the halo-actop shape (capacity 16,384, ~4.2K live `(local,
-/// peer)` entries) drops one migrated actor's ~8 edges; the iteration then
-/// re-offers them so the population stays put.
-fn bench_sketch_retain(c: &mut Criterion) {
-    c.bench_function("space_saving_retain_actor_16k", |b| {
-        const ACTORS: u64 = 525;
-        const EDGES: u64 = 8;
-        let mut rng = DetRng::new(8);
-        let edges: Vec<(u64, u64)> = (0..ACTORS * EDGES)
-            .map(|i| (i / EDGES, rng.below(100_000) as u64))
-            .collect();
-        let mut sketch: SpaceSaving<(u64, u64)> = SpaceSaving::new(16_384);
-        for &edge in &edges {
-            sketch.offer(edge, 1 + edge.1 % 7);
-        }
+    // Offer hits: 10K offers of edges the halo-shaped sketch monitors.
+    c.bench_function(&format!("space_saving_offer_hit_4k{suffix}"), |b| {
+        let (edges, mut sketch) = halo_edges::<P>();
+        let mut rng = DetRng::new(9);
+        let stream: Vec<(u64, u64)> = (0..10_000).map(|_| edges[rng.below(edges.len())]).collect();
+        b.iter(|| {
+            for &edge in &stream {
+                sketch.offer(edge, 1);
+            }
+            black_box(sketch.len())
+        })
+    });
+
+    // Offer misses: 10K never-seen edges into a full 4,096-slot sketch,
+    // so every offer probes, misses and evicts.
+    c.bench_function(&format!("space_saving_offer_miss_4k{suffix}"), |b| {
+        let mut sketch = P::new(4_096);
+        let mut next = 0u64;
+        b.iter(|| {
+            for _ in 0..10_000 {
+                sketch.offer((next / 8, next.wrapping_mul(7_919)), 1);
+                next += 1;
+            }
+            black_box(sketch.len())
+        })
+    });
+
+    // The migration path: drop one migrated actor's ~8 edges, then
+    // re-offer them so the population stays put.
+    c.bench_function(&format!("space_saving_retain_actor_16k{suffix}"), |b| {
+        let (edges, mut sketch) = halo_edges::<P>();
         let mut next = 0;
         b.iter(|| {
             let actor = next % ACTORS;
@@ -549,6 +860,20 @@ fn bench_sketch_retain(c: &mut Criterion) {
             sketch.retain(|&(local, _)| local != actor);
             let own = (actor * EDGES) as usize..((actor + 1) * EDGES) as usize;
             for &edge in &edges[own] {
+                sketch.offer(edge, 1 + edge.1 % 7);
+            }
+            black_box(sketch.len())
+        })
+    });
+
+    // The per-tick aging: halve every counter (dropping the weight-1
+    // edges and rebuilding the index), then re-offer every edge, which
+    // brings the sketch back to its steady state.
+    c.bench_function(&format!("space_saving_scale_16k{suffix}"), |b| {
+        let (edges, mut sketch) = halo_edges::<P>();
+        b.iter(|| {
+            sketch.scale(0.5);
+            for &edge in &edges {
                 sketch.offer(edge, 1 + edge.1 % 7);
             }
             black_box(sketch.len())
@@ -697,7 +1022,6 @@ criterion_group!(
     bench_cpu,
     bench_cpu_steady,
     bench_sketch,
-    bench_sketch_retain,
     bench_partition_view,
     bench_candidate_set,
     bench_hist,
