@@ -1,9 +1,9 @@
 //! Randomized full-runtime scenarios with deterministic shrinking.
 //!
 //! A [`Scenario`] is one seed-derived point in the space the runtime must
-//! survive: a uniform open-loop workload × a random fault plan × any
-//! combination of the failure detector and the two ActOp controllers × a
-//! thread allocation. [`run_scenario`] executes it end to end with full
+//! survive: a uniform open-loop workload, replying directly or fanning
+//! out × a random fault plan × any combination of the failure detector
+//! and the two ActOp controllers × a thread allocation. [`run_scenario`] executes it end to end with full
 //! trace sampling, feeds the recorded spans through the lifecycle checker
 //! ([`crate::invariants`]), and cross-checks request conservation against
 //! the run summary. A failing scenario is [`shrink`]-able: a greedy,
@@ -19,8 +19,8 @@ use actop_core::controllers::{
 use actop_core::experiment::{run_steady_state, RunSummary};
 use actop_partition::RepartitionPolicyKind;
 use actop_runtime::{
-    ActorId, Cluster, DetectorConfig, ReplicationConfig, RuntimeConfig, SnapshotConfig,
-    SplitThresholds, TraceConfig,
+    ActorId, AppLogic, Call, Cluster, DetectorConfig, Reaction, ReplicationConfig, RuntimeConfig,
+    SnapshotConfig, SplitThresholds, TraceConfig,
 };
 use actop_sim::{DetRng, Engine, Nanos};
 use actop_workloads::uniform::{UniformConfig, UniformWorkload};
@@ -79,6 +79,11 @@ pub struct Scenario {
     pub threads_per_stage: usize,
     /// The fault schedule, authored relative to measurement start.
     pub plan: FaultPlan,
+    /// Root requests fan out? Each client read then calls 2–3 random
+    /// actors and replies after the join, so the checker sees joins,
+    /// actor-to-actor responses and (under faults and timeouts) stale
+    /// responses, not only direct replies.
+    pub fan_out: bool,
 }
 
 impl Scenario {
@@ -110,6 +115,8 @@ impl Scenario {
         // Last-of-all for the same reason: the policy dimension re-rolls
         // nothing an already-pinned seed drew before it existed.
         let policy = RepartitionPolicyKind::ALL[rng.below(RepartitionPolicyKind::ALL.len())];
+        // After the policy for the same reason.
+        let fan_out = rng.chance(0.5);
         Scenario {
             seed,
             servers,
@@ -126,6 +133,7 @@ impl Scenario {
             policy,
             threads_per_stage,
             plan,
+            fan_out,
         }
     }
 
@@ -135,7 +143,7 @@ impl Scenario {
         format!(
             "seed={:#x} servers={} rate={}/s actors={} warmup={}s measure={}s \
              detector={} partition_ctl={} thread_ctl={} replication={} snapshot={} \
-             snap_interval={}ms policy={} threads/stage={}\n{}",
+             snap_interval={}ms policy={} threads/stage={} fan_out={}\n{}",
             self.seed,
             self.servers,
             self.request_rate,
@@ -150,6 +158,7 @@ impl Scenario {
             self.snapshot_interval_ms,
             self.policy.name(),
             self.threads_per_stage,
+            self.fan_out,
             self.plan.to_text()
         )
     }
@@ -176,13 +185,14 @@ impl Scenario {
             c.plan.events.remove(i);
             out.push(c);
         }
-        for flag in 0..5 {
+        for flag in 0..6 {
             let mut c = self.clone();
             let on = match flag {
                 0 => std::mem::replace(&mut c.partition_ctl, false),
                 1 => std::mem::replace(&mut c.thread_ctl, false),
                 2 => std::mem::replace(&mut c.replication, false),
                 3 => std::mem::replace(&mut c.snapshot, false),
+                4 => std::mem::replace(&mut c.fan_out, false),
                 _ => std::mem::replace(&mut c.detector, false),
             };
             if on {
@@ -244,6 +254,39 @@ impl ScenarioOutcome {
     }
 }
 
+/// The tag the uniform workload's client requests carry: a read, and in
+/// a fan-out scenario the root of a call tree.
+const ROOT_TAG: u32 = 0;
+
+/// The tag of a fan-out call: neither a read (so never replica-routed)
+/// nor a snapshot write.
+const LEAF_TAG: u32 = 2;
+
+/// The fan-out scenario's application: a root request computes, calls
+/// 2–3 random actors with [`LEAF_TAG`] and replies after the join; every
+/// other request (a leaf, a snapshot write) computes and replies. Costs
+/// and sizes match the uniform workload's.
+struct FanOutApp {
+    actors: u64,
+}
+
+impl AppLogic for FanOutApp {
+    fn on_request(&self, _actor: ActorId, tag: u32, rng: &mut DetRng) -> Reaction {
+        let cpu_ns = rng.exp(60_000.0);
+        if tag != ROOT_TAG {
+            return Reaction::reply(cpu_ns, 600);
+        }
+        let calls = (0..2 + rng.below(2))
+            .map(|_| Call {
+                to: ActorId(rng.range_inclusive(0, self.actors - 1)),
+                tag: LEAF_TAG,
+                bytes: 300,
+            })
+            .collect();
+        Reaction::fan_out(cpu_ns, calls, 600)
+    }
+}
+
 /// Open-loop Poisson stream of write-tagged (tag 1) requests, the state
 /// traffic snapshot scenarios run alongside the uniform read workload.
 fn write_tick(
@@ -266,7 +309,7 @@ fn write_tick(
 
 /// Runs a scenario end to end and checks it.
 pub fn run_scenario(sc: &Scenario) -> ScenarioOutcome {
-    let (app, workload) = UniformWorkload::build(UniformConfig {
+    let (uniform_app, workload) = UniformWorkload::build(UniformConfig {
         actors: sc.actors,
         request_rate: sc.request_rate,
         request_bytes: 600,
@@ -276,6 +319,11 @@ pub fn run_scenario(sc: &Scenario) -> ScenarioOutcome {
         duration: sc.duration(),
         seed: sc.seed,
     });
+    let app: Box<dyn AppLogic> = if sc.fan_out {
+        Box::new(FanOutApp { actors: sc.actors })
+    } else {
+        uniform_app
+    };
     let mut rt = RuntimeConfig::paper_testbed(sc.seed);
     rt.servers = sc.servers;
     rt.initial_threads_per_stage = sc.threads_per_stage;
@@ -444,6 +492,7 @@ pub fn fuzz_one(seed: u64, shrink_budget: usize) -> (Scenario, ScenarioOutcome) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use actop_chaos::Fault;
 
     #[test]
     fn scenarios_are_seed_deterministic() {
@@ -464,6 +513,7 @@ mod tests {
                 || (!c.partition_ctl && sc.partition_ctl)
                 || (!c.thread_ctl && sc.thread_ctl)
                 || (!c.snapshot && sc.snapshot)
+                || (!c.fan_out && sc.fan_out)
                 || (!c.detector && sc.detector)
                 || c.measure_secs < sc.measure_secs
                 || c.request_rate < sc.request_rate
@@ -492,6 +542,7 @@ mod tests {
             policy: RepartitionPolicyKind::Exchange,
             threads_per_stage: 4,
             plan: FaultPlan::new("none"),
+            fan_out: false,
         };
         let a = run_scenario(&sc);
         assert!(a.is_ok(), "failures: {:?}", a.failures);
@@ -522,6 +573,7 @@ mod tests {
             policy: RepartitionPolicyKind::Exchange,
             threads_per_stage: 4,
             plan: FaultPlan::new("none"),
+            fan_out: false,
         };
         let out = run_scenario(&sc);
         assert!(out.is_ok(), "failures: {:?}", out.failures);
@@ -563,6 +615,7 @@ mod tests {
                 Nanos::from_millis(1_500),
                 Nanos::from_secs(3),
             ),
+            fan_out: false,
         };
         let out = run_scenario(&sc);
         assert!(out.is_ok(), "failures: {:?}", out.failures);
@@ -576,5 +629,66 @@ mod tests {
         );
         let b = run_scenario(&sc);
         assert_eq!(out.digest, b.digest, "snapshots must stay deterministic");
+    }
+
+    #[test]
+    fn fan_out_scenarios_join_under_chaos_and_stay_clean() {
+        // A crash, then a link slower than the 1 s timeout, under fan-out
+        // roots: joins complete, die with their server, and time out
+        // before their replies cross the slow link, and the checker must
+        // see actor-to-actor traffic and stale responses and stay clean.
+        let mut plan = FaultPlan::crash_restore(
+            1,
+            Nanos::from_millis(500),
+            Nanos::from_millis(1_500),
+            Nanos::from_secs(3),
+        );
+        plan.push(
+            Nanos::from_millis(2_000),
+            Fault::Link {
+                a: 0,
+                b: 2,
+                extra_delay: Nanos::from_millis(1_500),
+                drop_prob: 0.0,
+            },
+        );
+        plan.push(Nanos::from_millis(2_300), Fault::LinkClear { a: 0, b: 2 });
+        let sc = Scenario {
+            seed: 37,
+            servers: 3,
+            request_rate: 400.0,
+            actors: 600,
+            warmup_secs: 1.0,
+            measure_secs: 4.0,
+            detector: false,
+            partition_ctl: false,
+            thread_ctl: false,
+            replication: false,
+            snapshot: false,
+            snapshot_interval_ms: 200,
+            policy: RepartitionPolicyKind::Exchange,
+            threads_per_stage: 4,
+            plan,
+            fan_out: true,
+        };
+        let out = run_scenario(&sc);
+        assert!(out.is_ok(), "failures: {:?}", out.failures);
+        assert!(out.summary.completed > 0);
+        let mut direct = sc.clone();
+        direct.fan_out = false;
+        let direct = run_scenario(&direct);
+        let calls = |o: &ScenarioOutcome| o.report.kind_count("rpc") + o.report.kind_count("lpc");
+        assert!(
+            calls(&out) > 2 * calls(&direct),
+            "fan-out made no more actor calls: {} vs {}",
+            calls(&out),
+            calls(&direct)
+        );
+        assert!(
+            out.summary.stale_responses > 0,
+            "no response outlived its join"
+        );
+        let b = run_scenario(&sc);
+        assert_eq!(out.digest, b.digest, "fan-out must stay deterministic");
     }
 }
