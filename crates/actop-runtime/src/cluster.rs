@@ -4,10 +4,11 @@
 //! [`Cluster`] is the discrete-event world. Workload drivers inject client
 //! requests; every subsequent hop — deserialization, worker execution,
 //! serialization, network transfer — is an engine event driven by the
-//! server's processor-sharing CPU and stage thread pools. The pump and the
-//! message lifecycle are shared with the sharded backend
-//! (`crate::process`, `crate::lifecycle`); this file supplies the
-//! sequential hooks. The ActOp
+//! server's processor-sharing CPU and stage thread pools. The pump, the
+//! message lifecycle, client admission and request completion are shared
+//! with the sharded backend (`crate::process`, `crate::lifecycle`); this
+//! file supplies the sequential hooks and the submit entry point, which
+//! mints the request id. The ActOp
 //! controllers interact with the cluster only through [`ClusterHost`] at
 //! the bottom of this file, mirroring how ActOp integrates with Orleans as
 //! a runtime extension rather than application code.
@@ -20,21 +21,16 @@ use actop_snapshot::{LinkCounters, SnapshotState, SnapshotStore, StateCell, Touc
 use actop_trace::{HopKind, SpanEvent, Tracer, NO_SERVER, NO_STAGE};
 
 use crate::agent::AgentHost;
-use crate::app::AppLogic;
+use crate::app::{AppLogic, Call};
 use crate::config::{HiccupModel, ReplicationConfig, RuntimeConfig};
 use crate::detector::{DetectorConfig, FailureDetector, Transition};
 use crate::ids::{ActorId, RequestId, StageKind};
-use crate::lifecycle::wire_arrive;
+use crate::lifecycle::{admit_client_request, wire_arrive};
 use crate::metrics::{Accounting, ClusterMetrics};
 use crate::obs::{DetectorAccuracy, Observability, SloTransition};
 use crate::process::{crash, Process, ProcessHost};
-use crate::proto::{
-    Message, MsgKind, PendingJoin, PostAction, ReplyTarget, RequestMeta, StageItem,
-};
-use crate::replication::{
-    hash, note_replica_drop, note_replica_request, note_split, rendezvous, replica_admits,
-    replication_round,
-};
+use crate::proto::{Message, MsgKind, PendingJoin, StageItem};
+use crate::replication::{hash, note_replica_drop, note_split, rendezvous, replication_round};
 use crate::server::Server;
 pub use crate::server::StageReport;
 use crate::snapshot::{note_begin, note_marker, note_sweep, note_touch};
@@ -130,8 +126,10 @@ pub struct Cluster {
     splits_in_flight: FxHashMap<u64, (u32, u32)>,
     /// In-flight fan-out joins, keyed by slab handle.
     joins: SlabTable<PendingJoin>,
-    /// In-flight client requests, keyed by [`RequestId`] slab handle.
-    requests: SlabTable<RequestMeta>,
+    /// In-flight client requests, keyed by [`RequestId`] slab handle:
+    /// the nanoseconds of each already charged to named breakdown
+    /// components.
+    requests: SlabTable<f64>,
     /// View buffer lent to partition rounds whose policy lives only for
     /// the round ([`AgentHost::policy_view`]).
     policy_view: PartitionView<ActorId>,
@@ -213,95 +211,13 @@ impl Cluster {
         bytes: u64,
     ) -> RequestId {
         let now = engine.now();
-        self.metrics.submitted += 1;
         let first = self.rng_gateway.below(self.servers.len());
-        let Some(gateway) = self.try_next_live(first) else {
-            // Total cluster loss: no gateway accepts the connection. Shed
-            // at admission instead of panicking; the returned id is
-            // already resolved (stale), like any shed request's.
-            self.metrics.rejected += 1;
-            self.metrics.shed_no_live += 1;
-            let rid = RequestId(self.requests.insert(RequestMeta {
-                start: now,
-                accounted_ns: 0.0,
-                gateway: NO_SERVER,
-            }));
-            self.requests.remove(rid.0);
-            if self.trace.enabled() {
-                self.trace
-                    .record(SpanEvent::instant(rid.0, HopKind::Shed, NO_SERVER, 0, now));
-            }
-            return rid;
-        };
-        let rid = RequestId(self.requests.insert(RequestMeta {
-            start: now,
-            accounted_ns: 0.0,
-            gateway: gateway as u32,
-        }));
-        if self.trace.enabled() {
-            self.record_span(SpanEvent::instant(
-                rid.0,
-                HopKind::GatewayAdmit,
-                gateway as u32,
-                0,
-                now,
-            ));
-        }
-        if let Some(timeout) = self.config.request_timeout {
-            engine.schedule_after(timeout, move |c: &mut Cluster, e| {
-                if let Some(meta) = c.requests.remove(rid.0) {
-                    c.metrics.timed_out += 1;
-                    // Abandon the request's outstanding joins so late
-                    // branches cannot resurrect it and the tables drain
-                    // (rare bulk purge; never runs on completed requests).
-                    c.joins.retain(|j| j.request != rid.0);
-                    if c.trace.enabled() {
-                        let at = e.now();
-                        c.record_span(SpanEvent::instant(
-                            rid.0,
-                            HopKind::Timeout,
-                            meta.gateway,
-                            0,
-                            at,
-                        ));
-                        c.trace
-                            .flight_dump(HopKind::Timeout, rid.0, meta.gateway, at);
-                    }
-                }
-            });
-        }
-        let msg = Message {
-            to,
-            tag,
-            bytes,
-            kind: MsgKind::Request {
-                reply_to: ReplyTarget::Client,
-            },
-            request: rid.0,
-            root_start: now,
-            issued_at: now,
-            delivered_remotely: true,
-            from_actor: false,
-            forwarded: false,
-            call_was_remote: false,
-            attempts: 0,
-            hops: 0,
-        };
-        let delay = self.config.costs.network.delay(&mut self.rng_net, bytes);
-        self.account(rid.0, "Network", delay.as_nanos() as f64);
-        if self.trace.enabled() {
-            self.record_span(SpanEvent {
-                request: rid.0,
-                kind: HopKind::Network,
-                server: gateway as u32,
-                stage: NO_STAGE,
-                aux: 0,
-                t_start: now,
-                t_end: now + delay,
-            });
-        }
-        engine.schedule_after(delay, move |c: &mut Cluster, e| {
-            wire_arrive(c, e, gateway, msg)
+        // A shed request's id is already resolved (stale) when returned.
+        let rid = RequestId(self.requests.insert(0.0));
+        let call = Call { to, tag, bytes };
+        let mut host = ClusterHost::new(self, engine, now);
+        admit_client_request(&mut host, now, first, rid.0, call, |c| {
+            c.config.costs.network.delay(&mut c.rng_net, bytes)
         });
         rid
     }
@@ -475,44 +391,14 @@ impl Cluster {
         preferred
     }
 
-    /// Completes a client request: the response reached the client.
-    fn complete_request(&mut self, now: Nanos, request: u64) {
-        let Some(meta) = self.requests.remove(request) else {
-            return;
-        };
-        self.metrics.completed += 1;
-        if self.trace.enabled() {
-            self.record_span(SpanEvent::instant(
-                request,
-                HopKind::ClientDone,
-                NO_SERVER,
-                0,
-                now,
-            ));
-        }
-        let total = (now - meta.start).as_nanos();
-        self.metrics.e2e_latency.record(total);
-        self.metrics
-            .latency_series
-            .record(now.as_nanos(), total as f64);
-        if let Some(obs) = self.obs.as_mut() {
-            obs.observe_latency(total);
-        }
-        if self.config.record_breakdown {
-            let other = (total as f64 - meta.accounted_ns).max(0.0);
-            self.metrics.breakdown.add("Other", other);
-            self.metrics.breakdown.finish_request();
-        }
-    }
-
     /// Attributes `ns` of a request's latency to a named component.
     fn account(&mut self, request: u64, component: &'static str, ns: f64) {
         if !self.config.record_breakdown {
             return;
         }
         self.metrics.breakdown.add(component, ns);
-        if let Some(meta) = self.requests.get_mut(request) {
-            meta.accounted_ns += ns;
+        if let Some(accounted_ns) = self.requests.get_mut(request) {
+            *accounted_ns += ns;
         }
     }
 
@@ -920,22 +806,6 @@ impl Cluster {
                 c.snapshot_begin(e, horizon);
             });
         }
-    }
-
-    /// The snapshot subsystem's pre-handler hook for a request hosted at
-    /// `server`: decides ([`SnapshotState::touch`]), applies the effects
-    /// at once, and accounts them.
-    fn snapshot_touch(&mut self, now: Nanos, server: usize, actor: u64, tag: u32) -> Touch {
-        let snap = self.snap.as_mut().expect("guarded by caller");
-        let cfg = snap.cfg;
-        let down = self.failed[cfg.store_server as usize];
-        let deferrals = &mut self.snap_deferrals;
-        let touch = snap.touch(actor, server, tag, snap.cell(actor), down, deferrals, false);
-        if let Touch::Proceed(t) = &touch {
-            snap.apply(actor, server, t);
-        }
-        note_touch(self, &cfg, now, server, actor, &touch);
-        touch
     }
 
     /// Read-only view of the durable snapshot store (`None` without
@@ -1453,9 +1323,11 @@ impl Accounting for Cluster {
     }
 }
 
-/// The sequential hooks: the cluster's servers and failure flags, the
-/// breakdown, directory routing of requests and replies, the one join and
-/// request tables, link faults on the wire, and gateway-drawn retries.
+/// The sequential hooks: the cluster's servers, failure flags and
+/// directory, the breakdown, directory routing of requests and replies
+/// (a response follows its joining actor), snapshot effects applied at
+/// once, one app and one net stream, the one join and request tables,
+/// request timeouts, link faults on the wire, and gateway-drawn retries.
 impl Process for Cluster {
     #[inline]
     fn server(&mut self, id: usize) -> &mut Server {
@@ -1468,76 +1340,35 @@ impl Process for Cluster {
     }
 
     #[inline]
-    fn prepare(&mut self, now: Nanos, server: usize, msg: Message) -> (f64, f64, PostAction) {
-        let primary = self.directory.server_of(msg.to.0) == Some(server);
-        let mut hosted = primary;
-        if !hosted {
-            // A replica activation: read-tagged requests and join
-            // continuations execute here; writes fall through to
-            // the forward path (primary-routed).
-            let replication = self.config.replication.as_ref();
-            if let Some(read) =
-                replica_admits(replication, &self.directory, msg.to.0, server, msg.tag)
-            {
-                hosted = match msg.kind {
-                    MsgKind::Request { .. } => {
-                        let (request, actor) = (msg.request, msg.to.0);
-                        note_replica_request(self, now, server, request, actor, read);
-                        read
-                    }
-                    MsgKind::Response { .. } => true,
-                };
-            }
+    fn directory(&self) -> &DenseDirectory {
+        &self.directory
+    }
+
+    /// Decides, applies the effects at once, and accounts.
+    #[inline]
+    fn snapshot_touch(&mut self, now: Nanos, server: usize, actor: u64, tag: u32) -> Option<Touch> {
+        let snap = self.snap.as_mut()?;
+        let cfg = snap.cfg;
+        let down = self.failed[cfg.store_server as usize];
+        let deferrals = &mut self.snap_deferrals;
+        let touch = snap.touch(actor, server, tag, snap.cell(actor), down, deferrals, false);
+        if let Touch::Proceed(t) = &touch {
+            snap.apply(actor, server, t);
         }
-        if !hosted {
-            return (
-                self.config.costs.dispatch_fixed_ns,
-                0.0,
-                PostAction::Forward(msg),
-            );
-        }
-        let costs = &self.config.costs;
-        let local_copy = msg.local_copy_ns(costs);
-        match msg.kind {
-            MsgKind::Request { .. } => {
-                // Snapshot hook: restore-or-defer dead state, then
-                // capture + journal writes — before the handler
-                // runs (and before any RNG draw, so a deferred
-                // execute replays identically).
-                let (snap_cpu, snap_wait) = if self.snap.is_some() && primary {
-                    match self.snapshot_touch(now, server, msg.to.0, msg.tag) {
-                        Touch::Proceed(t) => (t.cpu_ns, t.blocking_ns),
-                        Touch::Defer(backoff) => {
-                            return (
-                                self.config.costs.dispatch_fixed_ns,
-                                0.0,
-                                PostAction::SnapshotDefer { msg, backoff },
-                            );
-                        }
-                    }
-                } else {
-                    (0.0, 0.0)
-                };
-                let reaction = self.app.on_request(msg.to, msg.tag, &mut self.rng_app);
-                if self.config.replication.is_some() {
-                    // Feed the split detector: service demand per
-                    // activation over the current window.
-                    self.servers[server]
-                        .load_sketch
-                        .offer(msg.to, reaction.cpu_ns as u64);
-                }
-                (
-                    reaction.cpu_ns + local_copy + snap_cpu,
-                    reaction.blocking_ns + snap_wait,
-                    PostAction::ApplyRequest { msg, reaction },
-                )
-            }
-            MsgKind::Response { .. } => (
-                self.app.continuation_cpu_ns() + local_copy,
-                0.0,
-                PostAction::ApplyResponse(msg),
-            ),
-        }
+        note_touch(self, &cfg, now, server, actor, &touch);
+        Some(touch)
+    }
+
+    /// One app stream for every server.
+    #[inline]
+    fn app(&mut self, _server: usize) -> (&dyn AppLogic, &mut DetRng) {
+        (&*self.app, &mut self.rng_app)
+    }
+
+    /// One net stream for every server.
+    #[inline]
+    fn net_delay(&mut self, _server: usize, bytes: u64) -> Nanos {
+        self.config.costs.network.delay(&mut self.rng_net, bytes)
     }
 
     /// Read-tagged requests on replicated actors spread across live
@@ -1606,8 +1437,39 @@ impl Process for Cluster {
     }
 
     #[inline]
-    fn forget_request(&mut self, request: u64) {
-        self.requests.remove(request);
+    fn close_request(&mut self, request: u64) -> Option<f64> {
+        self.requests.remove(request)
+    }
+
+    /// When the timeout fires on a request still open, the request is
+    /// abandoned: counted, its outstanding joins purged, and its
+    /// `Timeout` span and flight dump recorded at the gateway.
+    #[inline]
+    fn arm_timeout(&mut self, engine: &mut Engine<Cluster>, request: u64, gateway: usize) {
+        let Some(timeout) = self.config.request_timeout else {
+            return;
+        };
+        let gateway = gateway as u32;
+        engine.schedule_after(timeout, move |c: &mut Cluster, e| {
+            if c.requests.remove(request).is_some() {
+                c.metrics.timed_out += 1;
+                // Abandon the request's outstanding joins so late
+                // branches cannot resurrect it and the tables drain
+                // (rare bulk purge; never runs on completed requests).
+                c.joins.retain(|j| j.request != request);
+                if c.trace.enabled() {
+                    let at = e.now();
+                    c.record_span(SpanEvent::instant(
+                        request,
+                        HopKind::Timeout,
+                        gateway,
+                        0,
+                        at,
+                    ));
+                    c.trace.flight_dump(HopKind::Timeout, request, gateway, at);
+                }
+            }
+        });
     }
 
     /// Both endpoint offers, inside the sketch's cost attribution.
@@ -1626,11 +1488,7 @@ impl Process for Cluster {
     #[inline]
     fn net_send(&mut self, engine: &mut Engine<Cluster>, src: usize, dst: usize, msg: Message) {
         let now = engine.now();
-        let mut delay = self
-            .config
-            .costs
-            .network
-            .delay(&mut self.rng_net, msg.bytes);
+        let mut delay = self.net_delay(src, msg.bytes);
         if let Some(fault) = self.link_fault(src, dst) {
             if fault.drop_prob > 0.0 && self.rng_fault.chance(fault.drop_prob) {
                 self.metrics.net_dropped += 1;
@@ -1731,34 +1589,6 @@ impl Process for Cluster {
                 // runs out or a server recovers.
                 None => c.schedule_retry(e, msg, dead),
             }
-        });
-    }
-
-    /// The response crosses the client link; the request completes, by
-    /// its table entry, when it arrives.
-    #[inline]
-    fn client_reply(
-        &mut self,
-        engine: &mut Engine<Cluster>,
-        server: usize,
-        request: u64,
-        _root_start: Nanos,
-        bytes: u64,
-    ) {
-        let now = engine.now();
-        let delay = self.config.costs.network.delay(&mut self.rng_net, bytes);
-        self.account(request, "Network", delay.as_nanos() as f64);
-        self.span(SpanEvent {
-            request,
-            kind: HopKind::Network,
-            server: server as u32,
-            stage: NO_STAGE,
-            aux: NO_SERVER as u64,
-            t_start: now,
-            t_end: now + delay,
-        });
-        engine.schedule_after(delay, move |c: &mut Cluster, e| {
-            c.complete_request(e.now(), request);
         });
     }
 

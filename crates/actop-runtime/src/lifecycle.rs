@@ -1,19 +1,192 @@
 //! The message lifecycle around the SEDA pump, written once for both
-//! backends: a message's arrival off the wire, a handler's reply or
-//! fan-out, a sub-call, a response folded into its join, a reply, a
-//! forward, and the completion dispatch that hands each finished task's
-//! action to them (the pump itself is `crate::process`). Routing, the
-//! join tables, the wire, retries, the client reply and snapshot
-//! deferral are [`Process`] hooks (DESIGN.md §3, §12).
+//! backends: a client request's admission, a message's arrival off the
+//! wire, the worker execute (hosted check, replica admission, snapshot
+//! touch, handler), a handler's reply or fan-out, a sub-call, a response
+//! folded into its join, a reply, a forward, the client reply and the
+//! request's completion, and the completion dispatch that hands each
+//! finished task's action to them (the pump itself is `crate::process`).
+//! The directory and pending placements, where a response executes, the
+//! snapshot touch, the application and RNG streams, routing, the join and
+//! request tables, the wire, retries, timeouts and snapshot deferral are
+//! [`Process`] hooks (DESIGN.md §3, §12).
 
 use actop_sim::{Engine, Nanos};
-use actop_trace::{HopKind, SpanEvent, NO_STAGE};
+use actop_snapshot::Touch;
+use actop_trace::{HopKind, SpanEvent, NO_SERVER, NO_STAGE};
 
 use crate::app::{Call, Outcome, Reaction};
 use crate::cluster::MAX_FORWARD_HOPS;
 use crate::ids::{ActorId, StageKind};
-use crate::process::Process;
+use crate::metrics::Accounting;
+use crate::process::{Process, ProcessHost};
 use crate::proto::{Message, MsgKind, PendingJoin, PostAction, ReplyTarget, StageItem};
+use crate::replication::{note_replica_request, replica_admits};
+
+/// Admits a client request for `call` at `at` through the first live
+/// gateway at or after `first` (the client's draw), or sheds it when
+/// every server is down. An admitted request crosses the client link,
+/// whose delay `client_delay` draws from the client's stream, and arrives
+/// at the gateway's receiver. A shed request is accounted on server 0's
+/// world, an admitted one on its gateway's.
+pub(crate) fn admit_client_request<H: ProcessHost>(
+    host: &mut H,
+    at: Nanos,
+    first: usize,
+    request: u64,
+    call: Call,
+    client_delay: impl FnOnce(&mut H::World) -> Nanos,
+) {
+    let Some(gateway) = host.world(0).0.try_next_live(first) else {
+        // Total cluster loss: no gateway accepts the connection. Shed at
+        // admission instead of panicking; the request is resolved at
+        // once, like any shed request.
+        let (w, _) = host.world(0);
+        let m = w.metrics();
+        m.submitted += 1;
+        m.rejected += 1;
+        m.shed_no_live += 1;
+        w.close_request(request);
+        w.instant(request, HopKind::Shed, NO_SERVER, 0, at);
+        return;
+    };
+    let (w, engine) = host.world(gateway);
+    w.metrics().submitted += 1;
+    w.instant(request, HopKind::GatewayAdmit, gateway as u32, 0, at);
+    w.arm_timeout(engine, request, gateway);
+    let msg = Message {
+        to: call.to,
+        tag: call.tag,
+        bytes: call.bytes,
+        kind: MsgKind::Request {
+            reply_to: ReplyTarget::Client,
+        },
+        request,
+        root_start: at,
+        issued_at: at,
+        delivered_remotely: true,
+        from_actor: false,
+        forwarded: false,
+        call_was_remote: false,
+        attempts: 0,
+        hops: 0,
+    };
+    let delay = client_delay(w);
+    w.charge(request, "Network", delay.as_nanos() as f64);
+    w.span(SpanEvent {
+        request,
+        kind: HopKind::Network,
+        server: gateway as u32,
+        stage: NO_STAGE,
+        aux: 0,
+        t_start: at,
+        t_end: at + delay,
+    });
+    engine.schedule(at + delay, move |w: &mut H::World, e| {
+        wire_arrive(w, e, gateway, msg)
+    });
+}
+
+/// A started worker item's CPU demand, blocking time and completion
+/// action. First where the message executes: a response wherever it
+/// lands when the backend says so, else the hosted check; a message
+/// `server` does not host is forwarded. Then a request's snapshot touch
+/// at the primary and its application handler (the decision is captured
+/// now and applied when the compute phase ends) and the load-sketch
+/// offer, or a response's join continuation. Never enqueues.
+#[inline]
+pub(crate) fn prepare<W: Process>(
+    w: &mut W,
+    now: Nanos,
+    server: usize,
+    msg: Message,
+) -> (f64, f64, PostAction) {
+    let executes_here = match msg.kind {
+        MsgKind::Response { .. } if w.responses_execute_where_they_land() => Some(false),
+        _ => hosted(w, now, server, &msg),
+    };
+    let Some(primary) = executes_here else {
+        return (
+            w.config().costs.dispatch_fixed_ns,
+            0.0,
+            PostAction::Forward(msg),
+        );
+    };
+    let local_copy = msg.local_copy_ns(&w.config().costs);
+    match msg.kind {
+        MsgKind::Request { .. } => {
+            // Snapshot hook: restore-or-defer dead state, then capture +
+            // journal writes, before the handler runs (and before any
+            // RNG draw, so a deferred execute replays identically). State
+            // attaches only to the directory's primary: not to a
+            // replica, and not to an activation pending in a sharded
+            // window-local placement, which may lose its placement
+            // conflict at the barrier. The gate makes every state touch
+            // happen on the actor's unique host, which is what keeps
+            // version sequences exact across shard layouts.
+            let touch = if primary {
+                w.snapshot_touch(now, server, msg.to.0, msg.tag)
+            } else {
+                None
+            };
+            let (snap_cpu, snap_wait) = match touch {
+                None => (0.0, 0.0),
+                Some(Touch::Proceed(t)) => (t.cpu_ns, t.blocking_ns),
+                Some(Touch::Defer(backoff)) => {
+                    return (
+                        w.config().costs.dispatch_fixed_ns,
+                        0.0,
+                        PostAction::SnapshotDefer { msg, backoff },
+                    );
+                }
+            };
+            let (app, rng) = w.app(server);
+            let reaction = app.on_request(msg.to, msg.tag, rng);
+            if w.config().replication.is_some() {
+                // Feed the split detector: service demand per activation
+                // over the current window.
+                w.server(server)
+                    .load_sketch
+                    .offer(msg.to, reaction.cpu_ns as u64);
+            }
+            (
+                reaction.cpu_ns + local_copy + snap_cpu,
+                reaction.blocking_ns + snap_wait,
+                PostAction::ApplyRequest { msg, reaction },
+            )
+        }
+        MsgKind::Response { .. } => (
+            w.app(server).0.continuation_cpu_ns() + local_copy,
+            0.0,
+            PostAction::ApplyResponse(msg),
+        ),
+    }
+}
+
+/// Whether `server` hosts `msg`'s target actor: `Some(true)` at the
+/// directory's primary, `Some(false)` at a placement the directory does
+/// not hold yet or at a replica activation that admits the message, and
+/// `None` when the message must be forwarded. A replica executes reads
+/// and join continuations in place; a write falls through to the
+/// forward path and reaches the primary.
+#[inline]
+fn hosted<W: Process>(w: &mut W, now: Nanos, server: usize, msg: &Message) -> Option<bool> {
+    let host = w.directory().server_of(msg.to.0);
+    if host == Some(server) {
+        return Some(true);
+    }
+    if host.is_none() && w.pending_placement(server, msg.to) {
+        return Some(false);
+    }
+    let replication = w.config().replication.as_ref();
+    let read = replica_admits(replication, w.directory(), msg.to.0, server, msg.tag)?;
+    match msg.kind {
+        MsgKind::Request { .. } => {
+            note_replica_request(w, now, server, msg.request, msg.to.0, read);
+            read.then_some(false)
+        }
+        MsgKind::Response { .. } => Some(false),
+    }
+}
 
 /// Applies a finished task's completion action.
 #[inline]
@@ -42,7 +215,7 @@ pub(crate) fn dispatch<W: Process>(
             request,
             root_start,
             bytes,
-        } => w.client_reply(engine, server, request, root_start, bytes),
+        } => client_reply(w, engine, server, request, root_start, bytes),
         PostAction::SnapshotDefer { msg, backoff } => {
             w.snapshot_defer(engine, server, msg, backoff);
         }
@@ -86,7 +259,7 @@ pub(crate) fn wire_arrive<W: Process>(
             >= w.config().max_receiver_queue
     {
         w.metrics().rejected += 1;
-        w.forget_request(msg.request);
+        w.close_request(msg.request);
         let at = engine.now();
         w.instant(msg.request, HopKind::Shed, server as u32, 0, at);
         let trace = w.tracer();
@@ -301,6 +474,59 @@ fn forward<W: Process>(w: &mut W, engine: &mut Engine<W>, server: usize, mut msg
         now,
     );
     send_to(w, engine, server, dst, msg);
+}
+
+/// Sends root `request`'s serialized response from `server` across the
+/// client link; the request completes when it arrives.
+#[inline]
+fn client_reply<W: Process>(
+    w: &mut W,
+    engine: &mut Engine<W>,
+    server: usize,
+    request: u64,
+    root_start: Nanos,
+    bytes: u64,
+) {
+    let now = engine.now();
+    let delay = w.net_delay(server, bytes);
+    w.charge(request, "Network", delay.as_nanos() as f64);
+    w.span(SpanEvent {
+        request,
+        kind: HopKind::Network,
+        server: server as u32,
+        stage: NO_STAGE,
+        aux: NO_SERVER as u64,
+        t_start: now,
+        t_end: now + delay,
+    });
+    engine.schedule_after(delay, move |w: &mut W, e| {
+        complete_request(w, e.now(), request, root_start);
+    });
+}
+
+/// Root `request`'s response reached the client: closes the request (one
+/// that already resolved is ignored), counts it, records `ClientDone`,
+/// the end-to-end latency since `root_start` (histogram, series,
+/// telemetry) and the breakdown's unattributed remainder ("Other").
+fn complete_request<W: Process>(w: &mut W, now: Nanos, request: u64, root_start: Nanos) {
+    let Some(accounted_ns) = w.close_request(request) else {
+        return;
+    };
+    w.metrics().completed += 1;
+    w.instant(request, HopKind::ClientDone, NO_SERVER, 0, now);
+    let total = (now - root_start).as_nanos();
+    let m = w.metrics();
+    m.e2e_latency.record(total);
+    m.latency_series.record(now.as_nanos(), total as f64);
+    if let Some(obs) = w.obs() {
+        obs.observe_latency(total);
+    }
+    if w.config().record_breakdown {
+        let m = w.metrics();
+        m.breakdown
+            .add("Other", (total as f64 - accounted_ns).max(0.0));
+        m.breakdown.finish_request();
+    }
 }
 
 /// Hands a message bound for `dst` to `server`'s worker when it is local,

@@ -1,22 +1,26 @@
 //! The server process, written once for both backends: the SEDA pump
 //! (enqueue, start, CPU completion, task completion), thread
 //! reconfiguration, and a server's crash. The message lifecycle around
-//! the pump (what a finished task does next) is `crate::lifecycle`. A
-//! backend supplies only its hooks ([`Process`], [`ProcessHost`]): where
-//! a worker item executes and what it costs (`prepare`), how it routes a
-//! request, a forwarded response and a join's reply, where its joins
-//! live, how it puts a message on the wire, retries a lost one, answers
-//! a client and defers a snapshot restore, and what survives a restart
-//! (DESIGN.md §3, §9, §12).
+//! the pump (what a started worker item costs, what a finished task does
+//! next, client admission and completion) is `crate::lifecycle`. A
+//! backend supplies only its hooks ([`Process`], [`ProcessHost`]): its
+//! directory and the placements it has not published yet, where a
+//! response executes, its snapshot touch, its application and RNG
+//! streams, how it routes a request, a forwarded response and a join's
+//! reply, where its joins live, how it puts a message on the wire,
+//! retries a lost one and defers a snapshot restore, its request table
+//! and timeouts, and what survives a restart (DESIGN.md §3, §9, §12).
 
 use actop_partition::DenseDirectory;
-use actop_sim::{start_next, Engine, Nanos, StagePool, Subsystem};
+use actop_sim::{start_next, DetRng, Engine, Nanos, StagePool, Subsystem};
+use actop_snapshot::Touch;
 use actop_trace::{HopKind, SpanEvent, Tracer, PROC_LABEL, QUEUE_LABEL};
 
 use crate::agent::AgentHost;
+use crate::app::AppLogic;
 use crate::config::RuntimeConfig;
 use crate::ids::ActorId;
-use crate::lifecycle::dispatch;
+use crate::lifecycle::{dispatch, prepare};
 use crate::metrics::Accounting;
 use crate::proto::{Message, PendingJoin, PostAction, RunningTask, StageItem};
 use crate::replication::crash_drops;
@@ -48,12 +52,38 @@ pub(crate) trait Process: Accounting + Sized + 'static {
     /// The runtime configuration.
     fn config(&self) -> &RuntimeConfig;
 
-    /// A started worker item's CPU demand, blocking time and completion
-    /// action: where the message executes (hosted check, replica
-    /// admission), the snapshot touch, and the application handler (its
-    /// decision is captured now and applied when the compute phase
-    /// ends). Never enqueues.
-    fn prepare(&mut self, now: Nanos, server: usize, msg: Message) -> (f64, f64, PostAction);
+    /// The placement directory as this world reads it.
+    fn directory(&self) -> &DenseDirectory;
+
+    /// Whether `server` placed `actor` on itself in a placement the
+    /// directory does not hold yet. Only the sharded backend defers
+    /// placements (to the next barrier).
+    #[inline]
+    fn pending_placement(&self, _server: usize, _actor: ActorId) -> bool {
+        false
+    }
+
+    /// Whether a response executes wherever it lands, with no hosted
+    /// check: true where replies route straight to the server holding
+    /// the join (the sharded backend). Otherwise a response follows the
+    /// joining actor and is forwarded when the actor moved.
+    #[inline]
+    fn responses_execute_where_they_land(&self) -> bool {
+        false
+    }
+
+    /// The snapshot subsystem's pre-handler hook for a request executing
+    /// at `actor`'s primary `server`: `None` with snapshots off, else the
+    /// touch (restore-or-defer, lazy capture, journal write), its effects
+    /// applied or buffered and accounted.
+    fn snapshot_touch(&mut self, now: Nanos, server: usize, actor: u64, tag: u32) -> Option<Touch>;
+
+    /// The application, and the stream `server`'s handlers draw from.
+    fn app(&mut self, server: usize) -> (&dyn AppLogic, &mut DetRng);
+
+    /// Draws the network delay of a `bytes` message sent from `server`,
+    /// from the stream its sends draw from.
+    fn net_delay(&mut self, server: usize, bytes: u64) -> Nanos;
 
     /// The world's tracer (for flight dumps).
     fn tracer(&mut self) -> &mut Tracer;
@@ -106,10 +136,19 @@ pub(crate) trait Process: Accounting + Sized + 'static {
         true
     }
 
-    /// Forgets root `request`, shed at admission. Only the sequential
-    /// backend keeps a request table.
+    /// Closes root `request`'s entry (it completed or was shed): the
+    /// nanoseconds of its latency already charged to named breakdown
+    /// components, or `None` when it had already resolved (timed out,
+    /// shed). Only the sequential backend keeps a request table.
     #[inline]
-    fn forget_request(&mut self, _request: u64) {}
+    fn close_request(&mut self, _request: u64) -> Option<f64> {
+        Some(0.0)
+    }
+
+    /// Starts the client's timeout for `request`, just admitted at
+    /// `gateway`. Only the sequential backend has request timeouts.
+    #[inline]
+    fn arm_timeout(&mut self, _engine: &mut Engine<Self>, _request: u64, _gateway: usize) {}
 
     /// Offers one actor-to-actor message to the endpoint servers' edge
     /// sketches.
@@ -122,17 +161,6 @@ pub(crate) trait Process: Accounting + Sized + 'static {
     /// after a backoff ([`crate::RetryPolicy::backoff`]), within the
     /// message's attempt budget.
     fn schedule_retry(&mut self, engine: &mut Engine<Self>, msg: Message, dead: usize);
-
-    /// Sends root `request`'s serialized response from `server` to the
-    /// client, which completes the request on arrival.
-    fn client_reply(
-        &mut self,
-        engine: &mut Engine<Self>,
-        server: usize,
-        request: u64,
-        root_start: Nanos,
-        bytes: u64,
-    );
 
     /// Re-runs an execute at `server` whose restore found the store
     /// server down, after `backoff`.
@@ -179,7 +207,7 @@ pub(crate) trait Process: Accounting + Sized + 'static {
             });
             let costs = &self.config().costs;
             let (cpu_ns, wait_ns, post) = match item {
-                StageItem::Execute(msg) => self.prepare(now, server, msg),
+                StageItem::Execute(msg) => prepare(self, now, server, msg),
                 StageItem::Deserialize(msg) => (
                     costs.deserialize_ns(msg.bytes),
                     0.0,
@@ -321,14 +349,14 @@ fn task_finished<W: Process>(w: &mut W, engine: &mut Engine<W>, server: usize, t
     w.pump(engine, server);
 }
 
-/// What a crash needs of a backend beyond [`AgentHost`] (its clock,
-/// liveness, directory and replica drops).
+/// What a crash and a client admission need of a backend beyond
+/// [`AgentHost`] (its clock, liveness, directory and replica drops).
 pub(crate) trait ProcessHost: AgentHost {
     /// The backend's world type.
     type World: Process;
 
-    /// The world owning `server` (where its crash is accounted), and
-    /// that world's engine.
+    /// The world owning `server` (where its crash and the requests it
+    /// admits are accounted), and that world's engine.
     fn world(&mut self, server: usize) -> (&mut Self::World, &mut Engine<Self::World>);
 
     /// Marks `server` down (a crash) or back up (a recovery). A

@@ -226,18 +226,6 @@ pub(crate) struct PendingJoin {
     pub call_was_remote: bool,
 }
 
-/// Per-request bookkeeping for end-to-end latency and breakdown residuals.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RequestMeta {
-    /// Submission time at the client.
-    pub start: Nanos,
-    /// Nanoseconds already attributed to named breakdown components.
-    pub accounted_ns: f64,
-    /// The gateway server the request entered through (names the flight
-    /// ring to dump when the request times out).
-    pub gateway: u32,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -40,10 +40,17 @@
 //!
 //! * Placement is always identity-hash based (`resolve`; the policy field
 //!   is ignored); statistically equivalent to `Random` for fresh actors.
+//!   A new placement stays pending in the placing server's overlay until
+//!   the barrier publishes it (`pending_placement`).
 //! * Fan-out joins live on the server that issued the fan-out, and
-//!   responses route to that server directly instead of chasing the actor
-//!   through the directory (`joins`, `join_reply_dst`). A crash of the
-//!   owner loses its joins.
+//!   responses route to that server directly and execute there instead
+//!   of chasing the actor through the directory (`joins`,
+//!   `join_reply_dst`, `responses_execute_where_they_land`). A crash of
+//!   the owner loses its joins.
+//! * Handlers and sends draw from per-server streams (`app`,
+//!   `net_delay`); a client request's gateway and link delay come from
+//!   the workload driver's own streams
+//!   ([`submit_client_request_sharded`]).
 //! * Transport retries pick their failover target deterministically at
 //!   schedule time (`schedule_retry`; no shared gateway RNG stream).
 //! * Unsupported features are rejected at build time: failure detectors,
@@ -78,22 +85,19 @@ use actop_sketch::FxHashMap;
 use actop_snapshot::{
     Capture, LinkCounters, SnapshotConfig, SnapshotState, SnapshotStore, StateCell, Touch, Touched,
 };
-use actop_trace::{HopKind, SpanEvent, Tracer, NO_SERVER, NO_STAGE};
+use actop_trace::{HopKind, SpanEvent, Tracer, NO_STAGE};
 
 use crate::agent::AgentHost;
-use crate::app::AppLogic;
+use crate::app::{AppLogic, Call};
 use crate::cluster::StageReport;
 use crate::config::{ReplicationConfig, RuntimeConfig};
 use crate::ids::ActorId;
-use crate::lifecycle::wire_arrive;
+use crate::lifecycle::{admit_client_request, wire_arrive};
 use crate::metrics::{Accounting, ClusterMetrics};
 use crate::obs::Observability;
 use crate::process::{crash, Process, ProcessHost};
-use crate::proto::{Message, MsgKind, PendingJoin, PostAction, ReplyTarget};
-use crate::replication::{
-    hash, note_replica_drop, note_replica_request, note_split, rendezvous, replica_admits,
-    replication_round,
-};
+use crate::proto::{Message, PendingJoin};
+use crate::replication::{hash, note_replica_drop, note_split, rendezvous, replication_round};
 use crate::server::Server;
 use crate::snapshot::{note_begin, note_marker, note_sweep, note_touch};
 use crate::table::SlabTable;
@@ -577,74 +581,6 @@ impl ShardedCluster {
         });
     }
 
-    /// Completes a client request: the response reached the client.
-    fn complete_request(&mut self, now: Nanos, request: u64, root_start: Nanos) {
-        self.metrics.completed += 1;
-        if self.trace.enabled() {
-            self.trace.record(SpanEvent::instant(
-                request,
-                HopKind::ClientDone,
-                NO_SERVER,
-                0,
-                now,
-            ));
-        }
-        let total = (now - root_start).as_nanos();
-        self.metrics.e2e_latency.record(total);
-        self.metrics
-            .latency_series
-            .record(now.as_nanos(), total as f64);
-        if let Some(obs) = self.obs.as_mut() {
-            obs.observe_latency(total);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Snapshots & stateful recovery (the window-phase half; the round
-    // lifecycle lives in the serial-phase helpers below).
-    // ------------------------------------------------------------------
-
-    /// The snapshot subsystem's pre-handler hook for a directory-hosted
-    /// request at `server`: decides ([`SnapshotState::touch`]) against
-    /// this window's working copy of the cell, buffers the effects for the
-    /// next barrier (shared state is only *read* here), and accounts.
-    fn snapshot_touch(&mut self, now: Nanos, server: usize, actor: u64, tag: u32) -> Touch {
-        // SAFETY: window-phase reads; writers only in the serial phase.
-        let snap = unsafe { self.ctx.snap.as_ref().expect("guarded by caller").get() };
-        // SAFETY: as above.
-        let failed = unsafe { self.ctx.failed.get() };
-        let cfg = snap.cfg;
-        // The working copy: this window's overlay entry, else the shared
-        // cell as of the last barrier (the host is unique between
-        // barriers, so nobody else writes this actor concurrently).
-        let (cell, captured) = match self.snap_overlay.get(&actor) {
-            Some(&(_, cell, captured)) => (Some(cell), captured),
-            None => (snap.cell(actor), None),
-        };
-        let down = failed[cfg.store_server as usize];
-        let deferrals = &mut self.snap_defer_attempts;
-        let pending = captured.is_some();
-        let touch = snap.touch(actor, server, tag, cell, down, deferrals, pending);
-        if let Touch::Proceed(Touched {
-            cell: Some(cell),
-            capture,
-            write,
-            ..
-        }) = touch
-        {
-            if write {
-                self.snap_journal_ops
-                    .push((actor, cell.version, cell.value));
-            }
-            // Every touch refreshes the overlay entry, which self-heals
-            // the host hint at the barrier flush.
-            self.snap_overlay
-                .insert(actor, (server as u32, cell, capture.or(captured)));
-        }
-        note_touch(self, &cfg, now, server, actor, &touch);
-        touch
-    }
-
     /// Runs `f` against the shared durable snapshot store (`None` without
     /// `config.snapshot`) — what verification harnesses inspect.
     ///
@@ -684,11 +620,13 @@ impl ShardedCluster {
     }
 }
 
-/// The sharded hooks: a slot's server, the shared failure flags, and the
-/// sharded routing (DESIGN.md §12): identity-hash placement, joins on the
-/// server that issued the fan-out with replies routed to it, buffered
-/// remote sketch offers, the wire through the outbox, and hash-picked
-/// retry targets.
+/// The sharded hooks: a slot's server, the shared failure flags and
+/// directory, and the sharded routing (DESIGN.md §12): identity-hash
+/// placement pending in a window-local overlay, joins on the server that
+/// issued the fan-out with responses routed to it and executed there,
+/// buffered snapshot effects, per-server RNG streams, buffered remote
+/// sketch offers, the wire through the outbox, and hash-picked retry
+/// targets.
 impl Process for ShardedCluster {
     #[inline]
     fn server(&mut self, id: usize) -> &mut Server {
@@ -705,92 +643,80 @@ impl Process for ShardedCluster {
         failed[server]
     }
 
-    /// Worker requests draw from the *server's* RNG stream.
     #[inline]
-    fn prepare(&mut self, now: Nanos, server: usize, msg: Message) -> (f64, f64, PostAction) {
-        match msg.kind {
-            MsgKind::Request { .. } => {
-                // Hosted = directory entry, or our own window-local
-                // placement not yet flushed to the directory.
-                // SAFETY: window-phase read; writers only at barriers.
-                let dir = unsafe { self.ctx.directory.get() };
-                let dir_primary = dir.server_of(msg.to.0) == Some(server);
-                let mut hosted = match dir.server_of(msg.to.0) {
-                    Some(s) => s == server,
-                    None => {
-                        self.slots[self.local_idx[server]]
-                            .dir_overlay
-                            .get(&msg.to.0)
-                            == Some(&(server as u32))
-                    }
-                };
-                // A replica activation executes reads in place; a write
-                // that lands here falls through to the forward path and
-                // reaches the primary (replica sets change only at
-                // barriers, so this check is shard-layout invariant).
-                if !hosted {
-                    let replication = self.ctx.config.replication.as_ref();
-                    if let Some(read) = replica_admits(replication, dir, msg.to.0, server, msg.tag)
-                    {
-                        hosted = read;
-                        let (request, actor) = (msg.request, msg.to.0);
-                        note_replica_request(self, now, server, request, actor, read);
-                    }
-                }
-                if !hosted {
-                    return (
-                        self.ctx.config.costs.dispatch_fixed_ns,
-                        0.0,
-                        PostAction::Forward(msg),
-                    );
-                }
-                // Snapshot state attaches only to directory-hosted
-                // primary executions: an activation still pending in a
-                // window-local overlay may lose its placement conflict
-                // at the barrier, so its first-window touches carry no
-                // state (a documented deviation from the sequential
-                // cluster). The gate makes every state touch happen on
-                // the actor's unique host, which is what keeps version
-                // sequences exact across shard layouts.
-                let (snap_cpu, snap_wait) = if self.ctx.snap.is_some() && dir_primary {
-                    match self.snapshot_touch(now, server, msg.to.0, msg.tag) {
-                        Touch::Proceed(t) => (t.cpu_ns, t.blocking_ns),
-                        Touch::Defer(backoff) => {
-                            return (
-                                self.ctx.config.costs.dispatch_fixed_ns,
-                                0.0,
-                                PostAction::SnapshotDefer { msg, backoff },
-                            );
-                        }
-                    }
-                } else {
-                    (0.0, 0.0)
-                };
-                let local_copy = msg.local_copy_ns(&self.ctx.config.costs);
-                let ctx = &self.ctx;
-                let slot = &mut self.slots[self.local_idx[server]];
-                let reaction = ctx.app.on_request(msg.to, msg.tag, &mut slot.rng_app);
-                if ctx.config.replication.is_some() {
-                    slot.server
-                        .load_sketch
-                        .offer(msg.to, reaction.cpu_ns as u64);
-                }
-                (
-                    reaction.cpu_ns + local_copy + snap_cpu,
-                    reaction.blocking_ns + snap_wait,
-                    PostAction::ApplyRequest { msg, reaction },
-                )
+    fn directory(&self) -> &DenseDirectory {
+        // SAFETY: window-phase read; writers only at barriers.
+        unsafe { self.ctx.directory.get() }
+    }
+
+    /// The server's window-local overlay.
+    #[inline]
+    fn pending_placement(&self, server: usize, actor: ActorId) -> bool {
+        let overlay = &self.slots[self.slot_idx(server)].dir_overlay;
+        overlay.get(&actor.0) == Some(&(server as u32))
+    }
+
+    /// Responses execute on the join's owner server by construction: no
+    /// hosted check, no forwarding.
+    #[inline]
+    fn responses_execute_where_they_land(&self) -> bool {
+        true
+    }
+
+    /// Decides against this window's working copy of the cell, buffers
+    /// the effects for the next barrier (shared state is only *read*
+    /// here), and accounts.
+    #[inline]
+    fn snapshot_touch(&mut self, now: Nanos, server: usize, actor: u64, tag: u32) -> Option<Touch> {
+        // SAFETY: window-phase reads; writers only in the serial phase.
+        let snap = unsafe { self.ctx.snap.as_ref()?.get() };
+        // SAFETY: as above.
+        let failed = unsafe { self.ctx.failed.get() };
+        let cfg = snap.cfg;
+        // The working copy: this window's overlay entry, else the shared
+        // cell as of the last barrier (the host is unique between
+        // barriers, so nobody else writes this actor concurrently).
+        let (cell, captured) = match self.snap_overlay.get(&actor) {
+            Some(&(_, cell, captured)) => (Some(cell), captured),
+            None => (snap.cell(actor), None),
+        };
+        let down = failed[cfg.store_server as usize];
+        let deferrals = &mut self.snap_defer_attempts;
+        let pending = captured.is_some();
+        let touch = snap.touch(actor, server, tag, cell, down, deferrals, pending);
+        if let Touch::Proceed(Touched {
+            cell: Some(cell),
+            capture,
+            write,
+            ..
+        }) = touch
+        {
+            if write {
+                self.snap_journal_ops
+                    .push((actor, cell.version, cell.value));
             }
-            MsgKind::Response { .. } => {
-                // Responses execute on the join's owner server by
-                // construction — no hosted check, no forwarding.
-                (
-                    self.ctx.app.continuation_cpu_ns() + msg.local_copy_ns(&self.ctx.config.costs),
-                    0.0,
-                    PostAction::ApplyResponse(msg),
-                )
-            }
+            // Every touch refreshes the overlay entry, which self-heals
+            // the host hint at the barrier flush.
+            self.snap_overlay
+                .insert(actor, (server as u32, cell, capture.or(captured)));
         }
+        note_touch(self, &cfg, now, server, actor, &touch);
+        Some(touch)
+    }
+
+    /// The server's own app stream.
+    #[inline]
+    fn app(&mut self, server: usize) -> (&dyn AppLogic, &mut DetRng) {
+        let idx = self.slot_idx(server);
+        (&*self.ctx.app, &mut self.slots[idx].rng_app)
+    }
+
+    /// The server's own net stream.
+    #[inline]
+    fn net_delay(&mut self, server: usize, bytes: u64) -> Nanos {
+        let idx = self.slot_idx(server);
+        let rng = &mut self.slots[idx].rng_net;
+        self.ctx.config.costs.network.delay(rng, bytes)
     }
 
     /// Read-tagged requests on replicated actors by rendezvous over their
@@ -809,8 +735,7 @@ impl Process for ShardedCluster {
     ) -> usize {
         if let Some(rep) = self.ctx.config.replication {
             if rep.is_read(u64::from(tag)) {
-                // SAFETY: window-phase read; writers only at barriers.
-                let dir = unsafe { self.ctx.directory.get() };
+                let dir = self.directory();
                 if let Some(primary) = dir.server_of(actor.0) {
                     let reps = dir.replicas_of(actor.0);
                     if !reps.is_empty() {
@@ -837,22 +762,15 @@ impl Process for ShardedCluster {
     /// mirrored in this server's private overlay.
     #[inline]
     fn resolve(&mut self, _now: Nanos, server: usize, actor: ActorId) -> usize {
-        // SAFETY: window-phase read; writers only at barriers.
-        let dir = unsafe { self.ctx.directory.get() };
-        if let Some(s) = dir.server_of(actor.0) {
+        if let Some(s) = self.directory().server_of(actor.0) {
             return s;
         }
         let idx = self.local_idx[server];
         if let Some(&s) = self.slots[idx].dir_overlay.get(&actor.0) {
             return s as usize;
         }
-        // SAFETY: as for the directory: the failure flags change only from
-        // the serial phase.
-        let failed = unsafe { self.ctx.failed.get() };
-        let hint = self.slots[idx]
-            .server
-            .take_location_hint(&actor)
-            .filter(|&h| !failed[h]);
+        let hint = self.slots[idx].server.take_location_hint(&actor);
+        let hint = hint.filter(|&h| !self.is_down(h));
         let hinted = hint.is_some();
         let preferred = hint.unwrap_or_else(|| {
             (mix64(actor.0 ^ self.ctx.seed_mix) % self.ctx.topo.servers as u64) as usize
@@ -915,13 +833,7 @@ impl Process for ShardedCluster {
         msg: Message,
     ) {
         let now = engine.now();
-        let idx = self.slot_idx(src);
-        let delay = self
-            .ctx
-            .config
-            .costs
-            .network
-            .delay(&mut self.slots[idx].rng_net, msg.bytes);
+        let delay = self.net_delay(src, msg.bytes);
         self.span(SpanEvent {
             request: msg.request,
             kind: HopKind::Network,
@@ -983,40 +895,6 @@ impl Process for ShardedCluster {
         );
         debug_assert!(delay.as_nanos() >= self.ctx.lookahead_ns);
         self.push_wire(at, dead, target, msg);
-    }
-
-    /// The request completes, by its in-message submission time, when
-    /// the response arrives. Client-side delivery stays on this shard: no
-    /// lookahead constraint.
-    #[inline]
-    fn client_reply(
-        &mut self,
-        engine: &mut Engine<ShardedCluster>,
-        server: usize,
-        request: u64,
-        root_start: Nanos,
-        bytes: u64,
-    ) {
-        let now = engine.now();
-        let idx = self.slot_idx(server);
-        let delay = self
-            .ctx
-            .config
-            .costs
-            .network
-            .delay(&mut self.slots[idx].rng_net, bytes);
-        self.span(SpanEvent {
-            request,
-            kind: HopKind::Network,
-            server: server as u32,
-            stage: NO_STAGE,
-            aux: NO_SERVER as u64,
-            t_start: now,
-            t_end: now + delay,
-        });
-        engine.schedule_after(delay, move |w: &mut ShardedCluster, e| {
-            w.complete_request(e.now(), request, root_start);
-        });
     }
 
     /// Re-delivers the execute to this same server through the outbox
@@ -1178,67 +1056,12 @@ pub fn submit_client_request_sharded(
     rng_gateway: &mut DetRng,
     rng_net: &mut DetRng,
 ) {
-    let shared = shared_of(ctx);
-    let n = shared.topo.servers;
-    let first = rng_gateway.below(n);
-    // SAFETY: serial phase.
-    let failed = unsafe { shared.failed.get() };
-    let gateway = (0..n).map(|i| (first + i) % n).find(|&s| !failed[s]);
-    let Some(gateway) = gateway else {
-        // Total cluster loss: shed at admission (attributed to shard 0).
-        let cell = ctx.cell(0);
-        cell.world.metrics.submitted += 1;
-        cell.world.metrics.rejected += 1;
-        cell.world.metrics.shed_no_live += 1;
-        if cell.world.trace.enabled() {
-            cell.world
-                .trace
-                .record(SpanEvent::instant(request, HopKind::Shed, NO_SERVER, 0, at));
-        }
-        return;
-    };
-    let delay = shared.config.costs.network.delay(rng_net, bytes);
-    let msg = Message {
-        to,
-        tag,
-        bytes,
-        kind: MsgKind::Request {
-            reply_to: ReplyTarget::Client,
-        },
-        request,
-        root_start: at,
-        issued_at: at,
-        delivered_remotely: true,
-        from_actor: false,
-        forwarded: false,
-        call_was_remote: false,
-        attempts: 0,
-        hops: 0,
-    };
-    let cell = ctx.cell(shared.topo.shard_of(gateway));
-    cell.world.metrics.submitted += 1;
-    if cell.world.trace.enabled() {
-        cell.world.trace.record(SpanEvent::instant(
-            request,
-            HopKind::GatewayAdmit,
-            gateway as u32,
-            0,
-            at,
-        ));
-        cell.world.trace.record(SpanEvent {
-            request,
-            kind: HopKind::Network,
-            server: gateway as u32,
-            stage: NO_STAGE,
-            aux: 0,
-            t_start: at,
-            t_end: at + delay,
-        });
-    }
-    cell.engine
-        .schedule(at + delay, move |w: &mut ShardedCluster, e| {
-            wire_arrive(w, e, gateway, msg)
-        });
+    let mut host = ShardedHost::new(ctx, at);
+    let first = rng_gateway.below(host.servers());
+    let call = Call { to, tag, bytes };
+    admit_client_request(&mut host, at, first, request, call, |w| {
+        w.ctx.config.costs.network.delay(rng_net, bytes)
+    });
 }
 
 /// [`AgentHost`] over the sharded backend at `now`. Agents run as global

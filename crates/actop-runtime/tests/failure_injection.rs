@@ -14,9 +14,10 @@ use actop_runtime::sharded::{
 };
 use actop_runtime::{
     build_sharded, sharded_lookahead, ActorId, AppLogic, Call, Cluster, ClusterMetrics, Reaction,
-    RuntimeConfig,
+    RuntimeConfig, TraceConfig,
 };
-use actop_sim::{ConservativeRunner, DetRng, Engine, Nanos};
+use actop_sim::{ConservativeRunner, DetRng, Engine, Nanos, Subsystem};
+use actop_trace::HopKind;
 
 fn counter_app() -> Box<dyn AppLogic> {
     Box::new(FixedCostApp {
@@ -238,6 +239,44 @@ fn migration_racing_a_crash_aborts_cleanly() {
     assert_eq!(
         m.completed, m.submitted,
         "nothing addressed the dead server"
+    );
+}
+
+/// With every server down, each submit is shed at admission, and its
+/// `Shed` span goes through the tracer's cost bucket like every other
+/// span: one tracer op per span recorded.
+#[test]
+fn total_loss_sheds_are_counted_in_the_tracer_bucket() {
+    const N: u64 = 25;
+    let mut cfg = config(3, 5);
+    cfg.cost_attr = true;
+    cfg.trace = Some(TraceConfig::default());
+    let mut cluster = Cluster::new(cfg, counter_app());
+    let mut engine: Engine<Cluster> = Engine::new();
+    for server in 0..3 {
+        cluster.fail_server(&mut engine, server);
+    }
+    let tracer_ops = |c: &Cluster| c.cost_attr().ops[Subsystem::Tracer as usize];
+    let sheds = |c: &Cluster| {
+        let spans = c.trace.spans().iter();
+        spans.filter(|s| s.kind == HopKind::Shed).count() as u64
+    };
+    let ops_before = tracer_ops(&cluster);
+    assert_eq!(sheds(&cluster), 0);
+    for i in 0..N {
+        engine.schedule(Nanos::from_micros(100 * i), move |c: &mut Cluster, e| {
+            c.submit_client_request(e, ActorId(i), 0, 300);
+        });
+    }
+    engine.run(&mut cluster);
+    let m = &cluster.metrics;
+    assert_eq!((m.submitted, m.rejected, m.shed_no_live), (N, N, N));
+    assert_eq!(m.completed + m.timed_out, 0);
+    assert_eq!(sheds(&cluster), N, "one Shed span per submit");
+    assert_eq!(
+        tracer_ops(&cluster) - ops_before,
+        N,
+        "every Shed span is a tracer op"
     );
 }
 
