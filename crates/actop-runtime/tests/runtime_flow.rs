@@ -200,6 +200,77 @@ fn migration_deactivates_and_reactivates_at_hint() {
     assert_eq!(cluster.metrics.completed, 2);
 }
 
+/// A response follows its joining actor: when the actor migrates while a
+/// response to its fan-out waits in the old server's worker queue, the
+/// response is forwarded to the new activation and the root completes.
+#[test]
+fn responses_follow_a_migrated_joining_actor() {
+    /// Actor 0 fans out to actors 1..=4; each leaf takes 2 ms of CPU.
+    struct SlowLeaves;
+    impl AppLogic for SlowLeaves {
+        fn on_request(&self, actor: ActorId, _tag: u32, _rng: &mut DetRng) -> Reaction {
+            if actor.0 == 0 {
+                let calls = (1..=4)
+                    .map(|i| Call {
+                        to: ActorId(i),
+                        tag: 1,
+                        bytes: 300,
+                    })
+                    .collect();
+                Reaction::fan_out(30_000.0, calls, 500)
+            } else {
+                Reaction::reply(2_000_000.0, 150)
+            }
+        }
+    }
+    let mut config = RuntimeConfig::paper_testbed(5);
+    config.servers = 2;
+    config.placement = PlacementPolicy::Local;
+    config.initial_threads_per_stage = 1;
+    config.trace = Some(TraceConfig::default());
+    let mut cluster = Cluster::new(config, Box::new(SlowLeaves));
+    let mut engine: Engine<Cluster> = Engine::new();
+    let root = ActorId(0);
+    engine.schedule(Nanos::ZERO, move |c: &mut Cluster, e| {
+        c.submit_client_request(e, root, 0, 400);
+    });
+    engine.run(&mut cluster);
+    let home = cluster.locate(root).expect("activated");
+    for leaf in 1..=4 {
+        assert_eq!(cluster.locate(ActorId(leaf)), Some(home), "leaves are local");
+    }
+    // A second fan-out. 3 ms in, the first leaf has replied and its
+    // response waits behind the other leaves on the one worker thread;
+    // the root migrates then.
+    let start = engine.now() + Nanos::from_millis(1);
+    engine.schedule(start, move |c: &mut Cluster, e| {
+        c.submit_client_request(e, root, 0, 400);
+    });
+    engine.schedule(start + Nanos::from_millis(3), move |c: &mut Cluster, e| {
+        let now = e.now();
+        c.migrate_actor(e, now, root, 1 - home);
+    });
+    engine.run(&mut cluster);
+    assert_eq!(cluster.metrics.migrations, 1);
+    assert_eq!(cluster.metrics.completed, 2, "the root completes after the move");
+    assert!(cluster.is_drained());
+    assert_eq!(cluster.locate(root), Some(1 - home));
+    // Forwards after the fan-out's dispatch are responses chasing the
+    // root (a client request is forwarded, if at all, before it runs).
+    let spans = cluster.trace.spans();
+    let dispatched = spans
+        .iter()
+        .filter(|s| s.kind == HopKind::LocalDispatch && s.t_start >= start)
+        .map(|s| s.t_start)
+        .min()
+        .expect("the fan-out dispatched");
+    let response_forwards = spans
+        .iter()
+        .filter(|s| s.kind == HopKind::Forward && s.t_start > dispatched)
+        .count();
+    assert!(response_forwards >= 1, "no response was forwarded");
+}
+
 #[test]
 fn apply_exchange_moves_actors_both_ways() {
     let mut config = RuntimeConfig::paper_testbed(9);
