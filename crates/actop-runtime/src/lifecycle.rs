@@ -25,9 +25,9 @@ use crate::replication::{note_replica_request, replica_admits};
 /// Admits a client request for `call` at `at` through the first live
 /// gateway at or after `first` (the client's draw), or sheds it when
 /// every server is down. An admitted request crosses the client link,
-/// whose delay `client_delay` draws from the client's stream, and arrives
-/// at the gateway's receiver. A shed request is accounted on server 0's
-/// world, an admitted one on its gateway's.
+/// whose delay `client_delay` draws, and arrives at the gateway's
+/// receiver. A shed request is accounted on server 0's world, an
+/// admitted one on its gateway's.
 pub(crate) fn admit_client_request<H: ProcessHost>(
     host: &mut H,
     at: Nanos,

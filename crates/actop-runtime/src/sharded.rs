@@ -645,7 +645,9 @@ impl Process for ShardedCluster {
 
     #[inline]
     fn directory(&self) -> &DenseDirectory {
-        // SAFETY: window-phase read; writers only at barriers.
+        // SAFETY: the directory is written only from the serial phase
+        // (barriers and agents); windows and the serial thread both may
+        // read.
         unsafe { self.ctx.directory.get() }
     }
 

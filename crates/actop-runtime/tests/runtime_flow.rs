@@ -237,7 +237,11 @@ fn responses_follow_a_migrated_joining_actor() {
     engine.run(&mut cluster);
     let home = cluster.locate(root).expect("activated");
     for leaf in 1..=4 {
-        assert_eq!(cluster.locate(ActorId(leaf)), Some(home), "leaves are local");
+        assert_eq!(
+            cluster.locate(ActorId(leaf)),
+            Some(home),
+            "leaves are local"
+        );
     }
     // A second fan-out. 3 ms in, the first leaf has replied and its
     // response waits behind the other leaves on the one worker thread;
@@ -252,7 +256,10 @@ fn responses_follow_a_migrated_joining_actor() {
     });
     engine.run(&mut cluster);
     assert_eq!(cluster.metrics.migrations, 1);
-    assert_eq!(cluster.metrics.completed, 2, "the root completes after the move");
+    assert_eq!(
+        cluster.metrics.completed, 2,
+        "the root completes after the move"
+    );
     assert!(cluster.is_drained());
     assert_eq!(cluster.locate(root), Some(1 - home));
     // Forwards after the fan-out's dispatch are responses chasing the
