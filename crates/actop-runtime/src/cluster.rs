@@ -391,17 +391,6 @@ impl Cluster {
         preferred
     }
 
-    /// Attributes `ns` of a request's latency to a named component.
-    fn account(&mut self, request: u64, component: &'static str, ns: f64) {
-        if !self.config.record_breakdown {
-            return;
-        }
-        self.metrics.breakdown.add(component, ns);
-        if let Some(accounted_ns) = self.requests.get_mut(request) {
-            *accounted_ns += ns;
-        }
-    }
-
     // ------------------------------------------------------------------
     // ActOp hooks (what the controllers drive).
     // ------------------------------------------------------------------
@@ -1503,7 +1492,7 @@ impl Process for Cluster {
             }
             delay += fault.extra_delay;
         }
-        self.account(msg.request, "Network", delay.as_nanos() as f64);
+        self.charge(msg.request, "Network", delay.as_nanos() as f64);
         self.span(SpanEvent {
             request: msg.request,
             kind: HopKind::Network,
@@ -1633,9 +1622,16 @@ impl Process for Cluster {
         self.servers[server].restart(engine, &self.config);
     }
 
+    /// Adds to the component and to the request's charged total.
     #[inline]
     fn charge(&mut self, request: u64, component: &'static str, ns: f64) {
-        self.account(request, component, ns);
+        if !self.config.record_breakdown {
+            return;
+        }
+        self.metrics.breakdown.add(component, ns);
+        if let Some(accounted_ns) = self.requests.get_mut(request) {
+            *accounted_ns += ns;
+        }
     }
 }
 

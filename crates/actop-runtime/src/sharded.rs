@@ -581,6 +581,10 @@ impl ShardedCluster {
         });
     }
 
+    // ------------------------------------------------------------------
+    // Snapshot inspection, for an idle runner.
+    // ------------------------------------------------------------------
+
     /// Runs `f` against the shared durable snapshot store (`None` without
     /// `config.snapshot`) — what verification harnesses inspect.
     ///
