@@ -391,6 +391,17 @@ impl Cluster {
         preferred
     }
 
+    /// Attributes `ns` of a request's latency to a named component.
+    fn account(&mut self, request: u64, component: &'static str, ns: f64) {
+        if !self.config.record_breakdown {
+            return;
+        }
+        self.metrics.breakdown.add(component, ns);
+        if let Some(accounted_ns) = self.requests.get_mut(request) {
+            *accounted_ns += ns;
+        }
+    }
+
     // ------------------------------------------------------------------
     // ActOp hooks (what the controllers drive).
     // ------------------------------------------------------------------
@@ -1334,7 +1345,6 @@ impl Process for Cluster {
     }
 
     /// Decides, applies the effects at once, and accounts.
-    #[inline]
     fn snapshot_touch(&mut self, now: Nanos, server: usize, actor: u64, tag: u32) -> Option<Touch> {
         let snap = self.snap.as_mut()?;
         let cfg = snap.cfg;
@@ -1492,7 +1502,7 @@ impl Process for Cluster {
             }
             delay += fault.extra_delay;
         }
-        self.charge(msg.request, "Network", delay.as_nanos() as f64);
+        self.account(msg.request, "Network", delay.as_nanos() as f64);
         self.span(SpanEvent {
             request: msg.request,
             kind: HopKind::Network,
@@ -1622,16 +1632,9 @@ impl Process for Cluster {
         self.servers[server].restart(engine, &self.config);
     }
 
-    /// Adds to the component and to the request's charged total.
     #[inline]
     fn charge(&mut self, request: u64, component: &'static str, ns: f64) {
-        if !self.config.record_breakdown {
-            return;
-        }
-        self.metrics.breakdown.add(component, ns);
-        if let Some(accounted_ns) = self.requests.get_mut(request) {
-            *accounted_ns += ns;
-        }
+        self.account(request, component, ns);
     }
 }
 

@@ -672,7 +672,6 @@ impl Process for ShardedCluster {
     /// Decides against this window's working copy of the cell, buffers
     /// the effects for the next barrier (shared state is only *read*
     /// here), and accounts.
-    #[inline]
     fn snapshot_touch(&mut self, now: Nanos, server: usize, actor: u64, tag: u32) -> Option<Touch> {
         // SAFETY: window-phase reads; writers only in the serial phase.
         let snap = unsafe { self.ctx.snap.as_ref()?.get() };
